@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, asdict
@@ -84,7 +85,11 @@ class RunManifest:
 
 
 def _plain(value):
-    """Recursively convert numpy scalars, arrays, and complex to JSON types."""
+    """Recursively convert numpy scalars, arrays, and complex to JSON types.
+
+    Non-finite floats (an infinite z-score or chi-square, a NaN fit) become
+    null, so every output file is strict JSON.
+    """
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -94,9 +99,9 @@ def _plain(value):
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, complex) or isinstance(value, np.complexfloating):
-        return [float(value.real), float(value.imag)]
+        return [_plain(float(value.real)), _plain(float(value.imag))]
     if isinstance(value, (np.floating, float)):
-        return float(value)
+        return float(value) if math.isfinite(value) else None
     if isinstance(value, np.ndarray):
         return [_plain(v) for v in value.tolist()]
     return value
@@ -104,7 +109,7 @@ def _plain(value):
 
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_plain(payload), fh, indent=2, sort_keys=True)
+        json.dump(_plain(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

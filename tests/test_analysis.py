@@ -3,12 +3,15 @@
 Anchor values are hand-computed: se = sqrt(p(1-p)/n), z = (emp-p)/se.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulsecollapse.analysis import (
+    _chi2_sf,
     closed_form_p2_after_off,
     closed_form_p_hit,
     compare,
@@ -145,3 +148,34 @@ def test_histogram_needs_enough_events():
 def test_histogram_profile_length_checked():
     with pytest.raises(ValueError):
         hit_histogram(np.full(20_000, 3), np.ones(9), n_sites=8)
+
+
+def test_chi2_tail_closed_forms():
+    """dof 2 gives exp(-x/2) and dof 1 gives erfc(sqrt(x/2)), series and fraction alike."""
+    for x in (0.1, 1.0, 2.9, 3.0, 3.1, 10.0, 50.0, 300.0):
+        assert _chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-12)
+        assert _chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-12)
+
+
+def test_chi2_tail_matches_scipy():
+    """Agreement to 1e-10 relative over body and tail, and at every p = 0.01 cut."""
+    stats = pytest.importorskip("scipy.stats")
+    for dof in range(1, 301):
+        xs = np.concatenate(
+            [
+                np.linspace(0.0, 3.0 * dof + 60.0, 61),
+                # both sides of the switch from series to continued fraction
+                np.nextafter(dof + 2.0, [0.0, np.inf]),
+                [dof + 2.0, stats.chi2.isf(0.01, dof)],
+            ]
+        )
+        got = [_chi2_sf(float(x), dof) for x in xs]
+        np.testing.assert_allclose(got, stats.chi2.sf(xs, dof), rtol=1e-10, atol=0.0)
+
+
+def test_chi2_tail_edges():
+    assert _chi2_sf(0.0, 3) == 1.0
+    assert _chi2_sf(math.inf, 3) == 0.0
+    for dof in (1, 2, 255, 300):
+        p = _chi2_sf(1e300, dof)
+        assert math.isfinite(p) and p >= 0.0

@@ -6,11 +6,16 @@ the contract 0 ok / 1 config / 2 invariant / 3 statistics.
 
 import json
 import os
+import subprocess
+import sys
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 import yaml
 
 from pulsecollapse import cli
+from pulsecollapse.analysis import compare, hit_histogram
 
 CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
 
@@ -116,6 +121,50 @@ class TestRun:
         out = tmp_path / "r"
         assert cli.main(["run", "--config", cfg_path("pulse_drift.yaml"), "--out", str(out)]) == 0
         assert (out / "trajectory.csv").exists()
+
+
+class TestStrictJson:
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        """Infinite z and chi-square and a NaN fit leave parseable strict JSON."""
+        mismatch = compare(np.arange(2000) > 0, 1.0)
+        profile = np.zeros(64)
+        profile[40] = 1.0
+        impossible = hit_histogram(np.where(np.arange(12_000) < 100, 10, 40), profile, n_sites=64)
+        summary = {
+            "probability": asdict(mismatch),
+            "histogram": asdict(impossible),
+            "sigma_fit": float("nan"),
+            "drift": np.float64(-np.inf),
+            "amplitude": complex(1.0, float("nan")),
+        }
+        path = tmp_path / "summary.json"
+        cli._write_json(str(path), summary)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        out = json.loads(read(path), parse_constant=reject)
+        assert out["probability"]["z_score"] is None
+        assert out["probability"]["passed"] is False
+        assert out["histogram"]["chi2"] is None
+        assert out["histogram"]["p_value"] == 0.0
+        assert out["sigma_fit"] is None
+        assert out["drift"] is None
+        assert out["amplitude"] == [1.0, None]
+
+
+def test_package_and_cli_import_no_scipy():
+    """Cold start stays at the numpy + PyYAML floor: nothing imports scipy."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, pulsecollapse, pulsecollapse.cli; "
+        "heavy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "assert not heavy, heavy"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestExitCodes:

@@ -111,14 +111,17 @@ class TestBatch:
 class TestTrajectory:
     def test_event_matches_budget_draw(self, interaction_cfg):
         """u1 falls inside the budget window of the recorded hit step."""
-        out = simulate_trajectory(small(interaction_cfg), trial=3)
-        assert out.event is not None
-        u1 = out.event.rng_draws[0]
-        b = out.log.budget
-        k = np.searchsorted(b, u1, side="right")
-        # budget log rows lag the hit by the post-hit freeze
-        assert b[-1] <= 1.0 + 1e-12
-        assert 0 < u1 < 1
+        for trial in range(8):
+            out = simulate_trajectory(small(interaction_cfg), trial=trial)
+            assert out.event is not None
+            u1 = out.event.rng_draws[0]
+            b = out.log.budget
+            assert b[-1] <= 1.0 + 1e-12
+            assert 0 < u1 < 1
+            # the first logged budget above u1 is the row of the hit step;
+            # the budget stays frozen after it
+            k = np.searchsorted(b, u1, side="right")
+            assert out.log.times[min(k, len(b) - 1)] == out.event.t_sc
 
     def test_trajectory_is_reproducible(self, interaction_cfg):
         a = simulate_trajectory(small(interaction_cfg), trial=5)
