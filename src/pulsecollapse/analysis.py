@@ -59,20 +59,20 @@ class ProbabilityReport:
     passed: bool
 
 
-def compare(outcomes, closed_form: float, min_trials: int = 1000) -> ProbabilityReport:
+def compare(
+    successes: int, n_trials: int, closed_form: float, min_trials: int = 1000
+) -> ProbabilityReport:
     """Three-sigma binomial check of a Monte Carlo rate.
 
-    ``outcomes`` is a boolean array of per-trial successes. A degenerate
-    closed form (0 or 1) has zero variance; the empirical rate must then
-    match exactly.
+    ``successes`` of ``n_trials`` trials succeeded. A degenerate closed form
+    (0 or 1) has zero variance; the empirical rate must then match exactly.
     """
-    outcomes = np.asarray(outcomes, dtype=bool)
-    n = outcomes.size
+    n = int(n_trials)
     if n < min_trials:
         raise TooFewTrials(f"{n} trials < required {min_trials}")
     if not 0.0 <= closed_form <= 1.0:
         raise ValueError(f"closed form {closed_form} outside [0, 1]")
-    empirical = float(outcomes.mean())
+    empirical = float(successes) / n
     se = float(np.sqrt(closed_form * (1.0 - closed_form) / n))
     if se == 0.0:
         exact = empirical == closed_form
@@ -108,31 +108,25 @@ class HistogramCheck:
     expected: Tuple[float, ...]
 
 
-def hit_histogram(
-    sites,
-    expected_profile,
-    n_sites: int,
-    min_events: int = 10_000,
-) -> HistogramCheck:
-    """Chi-square test of observed hit sites against a square-modulus profile.
+def hit_histogram(counts, expected_profile, min_events: int = 10_000) -> HistogramCheck:
+    """Chi-square test of observed per-site hit counts against a square-modulus profile.
 
     Bins with expected count below 5 are pooled into one bin; if the pool is
     still thin it is merged into the smallest retained bin. A profile with a
     single support site leaves one bin and zero degrees of freedom, reported
     as p = 1.0 when the observed counts sit exactly on it.
     """
-    sites = np.asarray(sites, dtype=np.int64)
-    n_events = sites.size
+    counts = np.asarray(counts, dtype=float)
+    n_events = int(counts.sum())
     if n_events < min_events:
         raise TooFewEvents(f"{n_events} reduction events < required {min_events}")
     profile = np.asarray(expected_profile, dtype=float)
-    if profile.shape != (n_sites,):
+    if profile.shape != counts.shape:
         raise ValueError("expected profile length must match the site count")
     total_mass = profile.sum()
     if not total_mass > 0.0:
         raise ValueError("expected profile has no mass")
 
-    counts = np.bincount(sites, minlength=n_sites).astype(float)
     expected = profile / total_mass * n_events
 
     keep = expected >= MIN_EXPECTED_PER_BIN

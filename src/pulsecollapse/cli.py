@@ -336,8 +336,8 @@ def _verify_one(cfg: ScenarioConfig, checks: List[Dict], label: str) -> None:
         _, batch2 = run_batch(small, backbone=bb)
         record(
             "determinism",
-            batch.digest() == batch2.digest(),
-            f"event digest {batch.digest()[:16]}",
+            batch.events_digest == batch2.events_digest,
+            f"event digest {batch.events_digest[:16]}",
         )
         out = None
         for trial in range(10):

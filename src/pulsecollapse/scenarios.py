@@ -38,6 +38,7 @@ from .dynamics import (
     step,
 )
 from .errors import (
+    ConfigError,
     HitRateTooHigh,
     InvariantBreach,
     Rule4Violation,
@@ -69,6 +70,8 @@ __all__ = [
     "build_initial",
     "build_backbone",
     "simulate_trajectory",
+    "site_cdfs",
+    "place_hits",
     "run_batch",
     "run_interaction",
     "run_unresolvable_observation",
@@ -83,6 +86,12 @@ BUDGET_RESIDUAL_TOL = 1e-12
 CONSERVATION_TOL = 1e-9
 NORM_TOL = 1e-9
 PHANTOM_FREEZE_TOL = 1e-12
+CHUNK_TRIALS = 1 << 16  # trials drawn and placed at a time by run_batch
+SAMPLE_EVENTS = 32  # leading events a batch materializes for logs
+MAX_SITE_TABLE_BYTES = 1 << 30
+# ready terms that receive the ramp transfer, per scenario with a backbone
+_READY_TERMS = {"interaction": 1, "fade_in": 1, "unresolvable_observation": 2,
+                "turn_off": 2, "disengage": 2}
 
 
 @dataclass
@@ -253,12 +262,23 @@ def _scenario_step_counts(cfg: ScenarioConfig) -> Tuple[int, int]:
 
 
 def build_backbone(cfg: ScenarioConfig) -> Backbone:
-    """Step the deterministic flow once, recording currents and budget."""
-    state0, schedule = build_initial(cfg)
-    if schedule is None:
+    """Step the deterministic flow once, recording currents and budget.
+
+    A grid whose per-step site tables (steps x ready terms x sites x 8 B) would
+    exceed MAX_SITE_TABLE_BYTES is refused before anything grid-sized is made.
+    """
+    if cfg.name not in _READY_TERMS:
         raise SimulationError(f"scenario {cfg.name!r} has no ramp backbone")
     ramp_steps, tail_steps = _scenario_step_counts(cfg)
     n_steps = ramp_steps + tail_steps
+    n_points = cfg.data["grid"]["n_points"]
+    table_bytes = 8 * n_steps * _READY_TERMS[cfg.name] * n_points
+    if table_bytes > MAX_SITE_TABLE_BYTES:
+        raise ConfigError(
+            f"grid.n_points = {n_points} over {n_steps} steps (scenario.dt = {cfg.dt}) needs "
+            f"{table_bytes / 2**30:.1f} GiB of site tables, over the {MAX_SITE_TABLE_BYTES >> 30} GiB limit"
+        )
+    state0, schedule = build_initial(cfg)
     n_terms = len(state0.terms)
     grid = state0.grid
 
@@ -345,8 +365,8 @@ def build_backbone(cfg: ScenarioConfig) -> Backbone:
 
 
 @dataclass
-class EventBatch:
-    """Vectorized reduction events for one batch run."""
+class Placement:
+    """Per-trial hit placement of one chunk of draws (nan/-1 where no hit)."""
 
     hit: np.ndarray
     step_index: np.ndarray
@@ -356,103 +376,158 @@ class EventBatch:
     pre_norm: np.ndarray
     survivor_coeffs: np.ndarray
     ramp_progress: np.ndarray
-    draws: np.ndarray
-    labels: Tuple[int, ...]
-
-    @property
-    def n_hits(self) -> int:
-        return int(self.hit.sum())
-
-    def multiplicity(self) -> np.ndarray:
-        return (np.abs(self.survivor_coeffs[self.hit]) > 0).sum(axis=1)
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for arr in (
-            self.hit,
-            self.step_index,
-            self.t_sc,
-            self.term_hit,
-            self.u_sc,
-            self.survivor_coeffs,
-            self.draws,
-        ):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
 
 
-def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple[Backbone, EventBatch]:
-    """Place every trial's hit against the backbone's budget and currents."""
-    bb = backbone if backbone is not None else build_backbone(cfg)
-    n_trials = cfg.trials
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    draws = rng.random((n_trials, 3))
+@dataclass
+class EventBatch:
+    """Streaming aggregates of one batch run; no per-trial array is kept.
 
+    ``final_identity``: (1/s) times the survivors' square modulus at each
+    observed site's first hit, rescaled by the ramp progress at t_sc to
+    envelope-final values, summed over sites. ``spot_count``: hits whose third
+    draw falls below the label-2 Born weight at the site (the turn-off rule).
+    """
+
+    n_trials: int
+    n_hits: int
+    site_counts: np.ndarray
+    multiplicity_counts: Dict[int, int]
+    spot_count: int
+    final_identity: float
+    max_provenance_error: float
+    samples: List[ReductionEvent]
+    events_digest: str
+
+
+def site_cdfs(bb: Backbone, biased: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """Each step's flat (ready term, site) current CDF and its total.
+
+    ``biased`` squares the weights first: the site-selection negative control.
+    """
+    weights = bb.site_mass.reshape(len(bb.step_mass), -1)
+    if biased:
+        weights = weights**2
+    return np.cumsum(weights, axis=1), weights.sum(axis=1)
+
+
+def place_hits(bb: Backbone, cdf: np.ndarray, total: np.ndarray, draws: np.ndarray) -> Placement:
+    """Place each trial's hit: u1 = draws[:, 0] against the cumulative budget
+    picks the step; u2 = draws[:, 1] against that step's site CDF picks the
+    ready term and site.
+    """
     C = bb.cum_budget
-    total_budget = float(C[-1])
-    u1 = draws[:, 0]
-    step_idx = np.searchsorted(C, u1, side="right")
+    step_idx = np.searchsorted(C, draws[:, 0], side="right")
     hit = step_idx < len(C)
     if bb.complete and not hit.all():
         last_active = int(np.flatnonzero(bb.step_mass > 0)[-1])
         step_idx = np.where(hit, step_idx, last_active)
         hit = np.ones_like(hit)
 
-    n = n_trials
-    u_sc = np.zeros(n, dtype=np.int64)
-    term_hit = np.full(n, -1, dtype=np.int64)
-    biased = cfg.data["debug"]["bias_site_selection"]
-
     hit_ids = np.flatnonzero(hit)
-    order = np.argsort(step_idx[hit_ids], kind="stable")
-    hit_ids = hit_ids[order]
-    bounds = np.searchsorted(step_idx[hit_ids], np.arange(len(C) + 1))
-    n_ready, n_sites = bb.site_mass.shape[1], bb.site_mass.shape[2]
-    for i in np.unique(step_idx[hit_ids]):
-        grp = hit_ids[bounds[i] : bounds[i + 1]]
-        weights = bb.site_mass[i].ravel()
-        if biased:
-            weights = weights**2
-        tot = weights.sum()
-        if tot <= 0.0:
-            raise InvariantBreach("site-selection", f"no positive site current at step {i}")
-        cdf = np.cumsum(weights)
-        flat = np.searchsorted(cdf, draws[grp, 1] * tot, side="right")
-        flat = np.minimum(flat, weights.size - 1)
-        rows, sites = np.divmod(flat, n_sites)
-        u_sc[grp] = sites
-        term_hit[grp] = np.asarray(bb.ready_ids)[rows]
-
-    t_sc = np.where(hit, bb.times[np.minimum(step_idx + 1, len(bb.times) - 1)], np.nan)
-    pre_norm = np.where(hit, bb.total_sq[np.minimum(step_idx + 1, len(bb.times) - 1)], np.nan)
+    # group hits by step; the narrowest key dtype lets numpy radix-sort it
+    key = step_idx[hit_ids].astype(np.min_scalar_type(len(C)))
+    hit_ids = hit_ids[np.argsort(key, kind="stable")]
+    steps = step_idx[hit_ids]
+    dead = total[steps] <= 0.0
+    if dead.any():
+        raise InvariantBreach("site-selection", f"no positive site current at step {steps[dead][0]}")
+    target = draws[hit_ids, 1] * total[steps]
+    bounds = np.searchsorted(steps, np.arange(len(C) + 1))
+    flat = np.empty(len(hit_ids), dtype=np.int64)
+    for i, lo, hi in zip(range(len(C)), bounds[:-1].tolist(), bounds[1:].tolist()):
+        if hi > lo:
+            flat[lo:hi] = np.searchsorted(cdf[i], target[lo:hi], side="right")
+    rows, sites = np.divmod(np.minimum(flat, cdf.shape[1] - 1), bb.site_mass.shape[2])
+    u_sc = np.zeros(len(draws), dtype=np.int64)
+    term_hit = np.full(len(draws), -1, dtype=np.int64)
+    u_sc[hit_ids], term_hit[hit_ids] = sites, np.asarray(bb.ready_ids)[rows]
 
     # survivor coefficients: a_i(t_sc) * w_i(u_sc) for each ready term
-    coeff_rows = bb.coeffs[np.minimum(step_idx + 1, len(bb.times) - 1)][:, list(bb.ready_ids)]
-    amp_at_site = bb.ready_amps[:, u_sc].T
-    survivors = coeff_rows * amp_at_site
-    survivors[~hit] = 0.0
-
-    dst_final = bb.dst_factor[-1]
-    progress = np.where(
-        hit, bb.dst_factor[np.minimum(step_idx + 1, len(bb.times) - 1)] / dst_final, np.nan
-    )
-
-    batch = EventBatch(
+    survivors = np.zeros((len(draws), len(bb.ready_ids)), dtype=np.complex128)
+    survivors[hit_ids] = bb.coeffs[steps[:, None] + 1, list(bb.ready_ids)] * bb.ready_amps[:, sites].T
+    row = np.minimum(step_idx + 1, len(bb.times) - 1)
+    return Placement(
         hit=hit,
         step_index=step_idx,
-        t_sc=t_sc,
+        t_sc=np.where(hit, bb.times[row], np.nan),
         term_hit=term_hit,
         u_sc=u_sc,
-        pre_norm=pre_norm,
+        pre_norm=np.where(hit, bb.total_sq[row], np.nan),
         survivor_coeffs=survivors,
-        ramp_progress=progress,
-        draws=draws,
-        labels=tuple(bb.state0.terms[nn].apparatus_label for nn in bb.ready_ids),
+        ramp_progress=np.where(hit, bb.dst_factor[row] / bb.dst_factor[-1], np.nan),
     )
-    post_sq = np.abs(survivors[hit]) ** 2
-    if np.any(post_sq.sum(axis=1) > pre_norm[hit] + 1e-12):
-        raise InvariantBreach("reduction-bound", "post square modulus exceeded pre-hit norm")
-    return bb, batch
+
+
+def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple[Backbone, EventBatch]:
+    """Place every trial's hit against the backbone's budget and currents.
+
+    Trials run in chunks of CHUNK_TRIALS rows of three uniforms, drawn one
+    after another from one PCG64 stream (the same doubles as one whole
+    draw), and each chunk is folded into the aggregates and dropped, so
+    memory does not grow with the trial count. ``events_digest`` is a
+    sha256 over per-trial records in trial order, whatever the chunk size.
+    """
+    bb = backbone if backbone is not None else build_backbone(cfg)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    cdf, total = site_cdfs(bb, cfg.data["debug"]["bias_site_selection"])
+    ready = list(bb.ready_ids)
+    labels = [bb.state0.terms[n].apparatus_label for n in ready]
+    n_sites = bb.site_mass.shape[2]
+    digest = hashlib.sha256()
+    site_counts = np.zeros(n_sites, dtype=np.int64)
+    mult_counts = np.zeros(len(ready) + 1, dtype=np.int64)
+    first_mass = np.zeros(n_sites)
+    spot_count = 0
+    prov_err = 0.0
+    samples: List[ReductionEvent] = []
+
+    for start in range(0, cfg.trials, CHUNK_TRIALS):
+        draws = rng.random((min(CHUNK_TRIALS, cfg.trials - start), 3))
+        p = place_hits(bb, cdf, total, draws)
+        # one float64 row per trial, so the byte stream does not depend on the chunk size
+        digest.update(np.column_stack((p.hit, p.step_index, p.t_sc, p.term_hit, p.u_sc,
+                                       p.survivor_coeffs.view(np.float64), draws)))
+
+        idx = np.flatnonzero(p.hit)
+        surv, sites = p.survivor_coeffs[idx], p.u_sc[idx]
+        amp = np.abs(surv)
+        w = amp**2
+        post = w.sum(axis=1)
+        if np.any(post > p.pre_norm[idx] + 1e-12):
+            raise InvariantBreach("reduction-bound", "post square modulus exceeded pre-hit norm")
+        recomputed = bb.coeffs[p.step_index[idx, None] + 1, ready] * bb.ready_amps[:, sites].T
+        prov_err = max(prov_err, float(np.max(np.abs(recomputed - surv), initial=0.0)))
+        mult_counts += np.bincount((amp > 0).sum(axis=1), minlength=len(ready) + 1)
+        born = np.where(post > 0, w[:, labels.index(2)] / np.where(post > 0, post, 1.0), 0.0)
+        spot_count += int(np.count_nonzero(draws[idx, 2] < born))
+        fresh = np.flatnonzero(site_counts[sites] == 0)
+        new, first = np.unique(sites[fresh], return_index=True)
+        first_mass[new] = post[fresh[first]] / p.ramp_progress[idx[fresh[first]]] ** 2
+        site_counts += np.bincount(sites, minlength=n_sites)
+        for i in idx[: SAMPLE_EVENTS - len(samples)]:
+            samples.append(ReductionEvent(
+                t_sc=float(p.t_sc[i]),
+                term_hit=int(p.term_hit[i]),
+                u_sc=int(p.u_sc[i]),
+                pre_norm=float(p.pre_norm[i]),
+                post_coefficients={
+                    int(lbl): complex(c) for lbl, c in zip(labels, p.survivor_coeffs[i]) if c != 0
+                },
+                rng_draws=(float(draws[i, 0]), float(draws[i, 1])),
+                ramp_progress=float(p.ramp_progress[i]),
+            ))
+
+    return bb, EventBatch(
+        n_trials=cfg.trials,
+        n_hits=int(site_counts.sum()),
+        site_counts=site_counts,
+        multiplicity_counts={k: int(v) for k, v in enumerate(mult_counts) if v},
+        spot_count=spot_count,
+        final_identity=float(first_mass[site_counts > 0].sum() / bb.state0.s),
+        max_provenance_error=prov_err,
+        samples=samples,
+        events_digest=digest.hexdigest(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +754,11 @@ def run_interaction(cfg: ScenarioConfig) -> ScenarioResult:
     ready = bb.ready_ids[0]
     a2_final_sq = float(np.abs(bb.coeffs[-1, ready]) ** 2)
     closed = analysis.closed_form_p_hit(a2_final_sq, bb.state0.s)
-    report = analysis.compare(batch.hit, closed)
+    report = analysis.compare(batch.n_hits, batch.n_trials, closed)
     # 100 is enough for a valid pooled chi-square; acceptance-grade runs
     # assert >= 10_000 events on top of this.
     hist = analysis.hit_histogram(
-        batch.u_sc[batch.hit],
-        expected_profile=bb.ready_amps[0] ** 2,
-        n_sites=bb.state0.grid.n_points,
-        min_events=100,
+        batch.site_counts, expected_profile=bb.ready_amps[0] ** 2, min_events=100
     )
     summary = {
         "scenario": cfg.name,
@@ -699,10 +771,10 @@ def run_interaction(cfg: ScenarioConfig) -> ScenarioResult:
         "chi2_dof": hist.dof,
         "chi2_p_value": hist.p_value,
         "chi2_events": hist.n_events,
-        "events_digest": batch.digest(),
+        "events_digest": batch.events_digest,
         **bb.audits,
     }
-    return ScenarioResult(name=cfg.name, config=cfg, summary=summary, events=_sample_events(batch))
+    return ScenarioResult(name=cfg.name, config=cfg, summary=summary, events=batch.samples)
 
 
 def run_unresolvable_observation(cfg: ScenarioConfig) -> ScenarioResult:
@@ -715,42 +787,31 @@ def run_unresolvable_observation(cfg: ScenarioConfig) -> ScenarioResult:
     the recorded ramp progress).
     """
     bb, batch = run_batch(cfg)
-    mult = batch.multiplicity()
-    counts = {int(k): int(v) for k, v in zip(*np.unique(mult, return_counts=True))}
-
-    prov_err = _provenance_error(bb, batch)
-    identity = _final_identity(bb, batch)
-
     expected = np.zeros(bb.state0.grid.n_points)
     a_fin = bb.coeffs[-1, list(bb.ready_ids)]
     for r in range(len(bb.ready_ids)):
         expected += np.abs(a_fin[r]) ** 2 * bb.ready_amps[r] ** 2
     identity_target = float(expected.sum() / bb.state0.s)
     identity_tol = _identity_tolerance(expected / bb.state0.s, cfg.trials)
-    hist = analysis.hit_histogram(
-        batch.u_sc[batch.hit],
-        expected_profile=expected,
-        n_sites=bb.state0.grid.n_points,
-        min_events=100,
-    )
+    hist = analysis.hit_histogram(batch.site_counts, expected_profile=expected, min_events=100)
 
     summary = {
         "scenario": cfg.name,
         "arrangement": cfg.data["variant"]["arrangement"],
         "n_trials": cfg.trials,
-        "all_trials_reduced": bool(batch.hit.all()),
-        "multiplicity_counts": counts,
-        "max_provenance_error": prov_err,
-        "final_identity_estimate": identity,
+        "all_trials_reduced": batch.n_hits == batch.n_trials,
+        "multiplicity_counts": batch.multiplicity_counts,
+        "max_provenance_error": batch.max_provenance_error,
+        "final_identity_estimate": batch.final_identity,
         "final_identity_target": identity_target,
         "final_identity_tolerance": identity_tol,
-        "final_identity_pass": bool(abs(identity - identity_target) <= identity_tol),
+        "final_identity_pass": bool(abs(batch.final_identity - identity_target) <= identity_tol),
         "chi2_p_value": hist.p_value,
         "chi2_events": hist.n_events,
-        "events_digest": batch.digest(),
+        "events_digest": batch.events_digest,
         **bb.audits,
     }
-    return ScenarioResult(name=cfg.name, config=cfg, summary=summary, events=_sample_events(batch))
+    return ScenarioResult(name=cfg.name, config=cfg, summary=summary, events=batch.samples)
 
 
 def run_turn_off(cfg: ScenarioConfig) -> ScenarioResult:
@@ -761,15 +822,10 @@ def run_turn_off(cfg: ScenarioConfig) -> ScenarioResult:
     overlapping and disjoint profiles alike.
     """
     bb, batch = run_batch(cfg)
-    w = np.abs(batch.survivor_coeffs[batch.hit]) ** 2
-    label2_col = batch.labels.index(2)
-    denom = w.sum(axis=1)
-    born = np.where(denom > 0, w[:, label2_col] / np.where(denom > 0, denom, 1.0), 0.0)
-    spot = batch.draws[batch.hit, 2] < born
-
-    a2_sq = float(np.abs(bb.coeffs[-1, bb.ready_ids[label2_col]]) ** 2)
+    label2 = next(n for n in bb.ready_ids if bb.state0.terms[n].apparatus_label == 2)
+    a2_sq = float(np.abs(bb.coeffs[-1, label2]) ** 2)
     closed = analysis.closed_form_p2_after_off(a2_sq, bb.state0.s)
-    report = analysis.compare(spot, closed)
+    report = analysis.compare(batch.spot_count, batch.n_hits, closed)
     summary = {
         "scenario": cfg.name,
         "arrangement": cfg.data["variant"]["arrangement"],
@@ -779,11 +835,11 @@ def run_turn_off(cfg: ScenarioConfig) -> ScenarioResult:
         "std_error": report.std_error,
         "z_score": report.z_score,
         "probability_pass": report.passed,
-        "all_trials_reduced": bool(batch.hit.all()),
-        "events_digest": batch.digest(),
+        "all_trials_reduced": batch.n_hits == batch.n_trials,
+        "events_digest": batch.events_digest,
         **bb.audits,
     }
-    return ScenarioResult(name=cfg.name, config=cfg, summary=summary, events=_sample_events(batch))
+    return ScenarioResult(name=cfg.name, config=cfg, summary=summary, events=batch.samples)
 
 
 def run_disengage(cfg: ScenarioConfig) -> ScenarioResult:
@@ -987,7 +1043,7 @@ def run_fade_in(cfg: ScenarioConfig) -> ScenarioResult:
             final_pulse = t.brain.pulse
             break
     sigma_fit = float("nan")
-    if final_pulse is not None:
+    if final_pulse is not None and out.event is not None:
         w2 = np.abs(final_pulse.weights) ** 2 * grid.spacing
         mu = float(np.sum(grid.sites * w2))
         var = float(np.sum((grid.sites - mu) ** 2 * w2))
@@ -1038,16 +1094,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def _provenance_error(bb: Backbone, batch: EventBatch) -> float:
-    """Max |stored - recomputed| over surviving coefficients."""
-    if batch.n_hits == 0:
-        return 0.0
-    idx = np.flatnonzero(batch.hit)
-    rows = bb.coeffs[np.minimum(batch.step_index[idx] + 1, len(bb.times) - 1)][:, list(bb.ready_ids)]
-    recomputed = rows * bb.ready_amps[:, batch.u_sc[idx]].T
-    return float(np.max(np.abs(recomputed - batch.survivor_coeffs[idx])))
-
-
 def _identity_tolerance(rho: np.ndarray, n_trials: int) -> float:
     """Bound on the quadrature estimator's error from never-observed sites.
 
@@ -1059,43 +1105,3 @@ def _identity_tolerance(rho: np.ndarray, n_trials: int) -> float:
     bias = float(np.sum(rho * miss))
     var = float(np.sum(rho**2 * miss))
     return bias + 3.0 * math.sqrt(var) + 1e-9
-
-
-def _final_identity(bb: Backbone, batch: EventBatch) -> float:
-    """(1/s) * quadrature of the final-state square modulus over observed sites.
-
-    Each observed site contributes sum_i |c_i|^2 rescaled from ramp progress
-    at t_sc to the envelope-final coefficients; summed over distinct sites
-    this is the outcome integral of the reduced state's square modulus.
-    """
-    if batch.n_hits == 0:
-        return 0.0
-    idx = np.flatnonzero(batch.hit)
-    m = (np.abs(batch.survivor_coeffs[idx]) ** 2).sum(axis=1) / batch.ramp_progress[idx] ** 2
-    sites = batch.u_sc[idx]
-    first = np.unique(sites, return_index=True)[1]
-    return float(m[first].sum() / bb.state0.s)
-
-
-def _sample_events(batch: EventBatch, cap: int = 32) -> List[ReductionEvent]:
-    """Materialize the first few events for logs and spot checks."""
-    out = []
-    idx = np.flatnonzero(batch.hit)[:cap]
-    for i in idx:
-        coeffs = {}
-        for col, lbl in enumerate(batch.labels):
-            c = batch.survivor_coeffs[i, col]
-            if c != 0:
-                coeffs[int(lbl)] = complex(c)
-        out.append(
-            ReductionEvent(
-                t_sc=float(batch.t_sc[i]),
-                term_hit=int(batch.term_hit[i]),
-                u_sc=int(batch.u_sc[i]),
-                pre_norm=float(batch.pre_norm[i]),
-                post_coefficients=coeffs,
-                rng_draws=(float(batch.draws[i, 0]), float(batch.draws[i, 1])),
-                ramp_progress=float(batch.ramp_progress[i]),
-            )
-        )
-    return out

@@ -177,7 +177,7 @@ def test_criterion_7_invariant_suite(
     small = interaction_halted_cfg.with_overrides(trials=4000)
     _, batch_a = run_batch(small)
     _, batch_b = run_batch(small)
-    assert batch_a.digest() == batch_b.digest()
+    assert batch_a.events_digest == batch_b.events_digest
 
 
 def test_criterion_8_relative_intensity():

@@ -38,9 +38,7 @@ def test_closed_form_rejects_mass_beyond_s():
 
 def test_compare_z_score_hand_value():
     """29600 of 1e5 successes against p=0.3: z = -0.004/0.00144914 = -2.7603."""
-    outcomes = np.zeros(100_000, dtype=bool)
-    outcomes[:29_600] = True
-    rep = compare(outcomes, 0.3)
+    rep = compare(29_600, 100_000, 0.3)
     assert rep.empirical == pytest.approx(0.296)
     assert rep.std_error == pytest.approx(0.0014491376746189439, rel=1e-12)
     assert rep.z_score == pytest.approx(-2.7602622374, rel=1e-9)
@@ -48,33 +46,28 @@ def test_compare_z_score_hand_value():
 
 
 def test_compare_fails_beyond_three_sigma():
-    outcomes = np.zeros(100_000, dtype=bool)
-    outcomes[:29_000] = True
-    rep = compare(outcomes, 0.3)
+    rep = compare(29_000, 100_000, 0.3)
     assert not rep.passed
     assert rep.z_score < -3
 
 
 def test_compare_degenerate_closed_form_must_match_exactly():
-    all_true = np.ones(2000, dtype=bool)
-    assert compare(all_true, 1.0).passed
-    one_off = all_true.copy()
-    one_off[0] = False
-    rep = compare(one_off, 1.0)
+    assert compare(2000, 2000, 1.0).passed
+    rep = compare(1999, 2000, 1.0)
     assert not rep.passed
     assert rep.z_score == float("inf")
 
 
 def test_compare_needs_enough_trials():
     with pytest.raises(TooFewTrials):
-        compare(np.ones(10, dtype=bool), 0.5)
+        compare(10, 10, 0.5)
 
 
 def test_compare_symmetric_under_complement():
     rng = np.random.default_rng(5)
-    outcomes = rng.random(50_000) < 0.4
-    a = compare(outcomes, 0.4)
-    b = compare(~outcomes, 0.6)
+    hits = int(np.count_nonzero(rng.random(50_000) < 0.4))
+    a = compare(hits, 50_000, 0.4)
+    b = compare(50_000 - hits, 50_000, 0.6)
     assert a.z_score == pytest.approx(-b.z_score, abs=1e-12)
     assert a.passed == b.passed
 
@@ -84,8 +77,8 @@ def test_compare_symmetric_under_complement():
 def test_compare_accepts_its_own_distribution(p, seed):
     """Draws from the closed form itself pass at 5 sigma essentially always."""
     rng = np.random.default_rng(seed)
-    outcomes = rng.random(20_000) < p
-    rep = compare(outcomes, p)
+    hits = int(np.count_nonzero(rng.random(20_000) < p))
+    rep = compare(hits, 20_000, p)
     assert abs(rep.z_score) < 5.5
 
 
@@ -94,8 +87,8 @@ def test_histogram_accepts_true_profile():
     rng = np.random.default_rng(17)
     profile = np.exp(-0.5 * ((np.arange(64) - 30.0) / 4.0) ** 2)
     probs = profile / profile.sum()
-    sites = rng.choice(64, size=20_000, p=probs)
-    check = hit_histogram(sites, profile, n_sites=64)
+    counts = np.bincount(rng.choice(64, size=20_000, p=probs), minlength=64)
+    check = hit_histogram(counts, profile)
     assert check.p_value > 0.01
     assert check.dof == check.n_bins - 1
 
@@ -103,9 +96,9 @@ def test_histogram_accepts_true_profile():
 def test_histogram_rejects_wrong_profile():
     rng = np.random.default_rng(17)
     true_profile = np.exp(-0.5 * ((np.arange(64) - 30.0) / 4.0) ** 2)
-    sites = rng.choice(64, size=20_000, p=true_profile / true_profile.sum())
+    counts = np.bincount(rng.choice(64, size=20_000, p=true_profile / true_profile.sum()), minlength=64)
     shifted = np.roll(true_profile, 6)
-    check = hit_histogram(sites, shifted, n_sites=64)
+    check = hit_histogram(counts, shifted)
     assert check.p_value < 1e-6
 
 
@@ -113,18 +106,19 @@ def test_histogram_pools_thin_bins():
     """All retained bins carry expectation of at least 5 events."""
     rng = np.random.default_rng(3)
     profile = np.exp(-0.5 * ((np.arange(64) - 30.0) / 2.0) ** 2) + 1e-12
-    sites = rng.choice(64, size=10_000, p=profile / profile.sum())
-    check = hit_histogram(sites, profile, n_sites=64)
+    counts = np.bincount(rng.choice(64, size=10_000, p=profile / profile.sum()), minlength=64)
+    check = hit_histogram(counts, profile)
     assert min(check.expected) >= 5.0
     assert sum(check.counts) == 10_000
 
 
 def test_histogram_single_support_site_is_trivially_exact():
     """A one-site profile has zero dof; exact agreement reports p = 1."""
-    sites = np.full(12_000, 40)
+    counts = np.zeros(64, dtype=np.int64)
+    counts[40] = 12_000
     profile = np.zeros(64)
     profile[40] = 1.0
-    check = hit_histogram(sites, profile, n_sites=64)
+    check = hit_histogram(counts, profile)
     assert check.p_value == 1.0
     assert check.chi2 == 0.0
     assert check.dof == 0
@@ -132,22 +126,22 @@ def test_histogram_single_support_site_is_trivially_exact():
 
 def test_histogram_impossible_site_fails_hard():
     """Counts where the profile is exactly zero give p = 0."""
-    sites = np.full(12_000, 40)
-    sites[:100] = 10
+    counts = np.zeros(64, dtype=np.int64)
+    counts[40], counts[10] = 11_900, 100
     profile = np.zeros(64)
     profile[40] = 1.0
-    check = hit_histogram(sites, profile, n_sites=64)
+    check = hit_histogram(counts, profile)
     assert check.p_value == 0.0
 
 
 def test_histogram_needs_enough_events():
     with pytest.raises(TooFewEvents):
-        hit_histogram(np.full(100, 3), np.ones(8), n_sites=8)
+        hit_histogram(np.bincount(np.full(100, 3), minlength=8), np.ones(8))
 
 
 def test_histogram_profile_length_checked():
     with pytest.raises(ValueError):
-        hit_histogram(np.full(20_000, 3), np.ones(9), n_sites=8)
+        hit_histogram(np.bincount(np.full(20_000, 3), minlength=8), np.ones(9))
 
 
 def test_chi2_tail_closed_forms():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from pulsecollapse import cli
+from pulsecollapse import cli, scenarios
 from pulsecollapse.analysis import compare, hit_histogram
 
 CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
@@ -126,10 +126,12 @@ class TestRun:
 class TestStrictJson:
     def test_non_finite_floats_are_written_as_null(self, tmp_path):
         """Infinite z and chi-square and a NaN fit leave parseable strict JSON."""
-        mismatch = compare(np.arange(2000) > 0, 1.0)
+        mismatch = compare(1999, 2000, 1.0)
         profile = np.zeros(64)
         profile[40] = 1.0
-        impossible = hit_histogram(np.where(np.arange(12_000) < 100, 10, 40), profile, n_sites=64)
+        counts = np.zeros(64, dtype=np.int64)
+        counts[40], counts[10] = 11_900, 100
+        impossible = hit_histogram(counts, profile)
         summary = {
             "probability": asdict(mismatch),
             "histogram": asdict(impossible),
@@ -174,6 +176,14 @@ class TestExitCodes:
         path = write_yaml(tmp_path, "bad.yaml", mapping)
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert "typo_key" in capsys.readouterr().err
+
+    def test_oversized_grid_exits_1_naming_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(scenarios, "MAX_SITE_TABLE_BYTES", 1 << 20)
+        mapping = load_yaml("observation_overlap.yaml")
+        mapping["grid"]["n_points"] = 1 << 14
+        path = write_yaml(tmp_path, "big.yaml", mapping)
+        assert cli.main(["montecarlo", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert "grid.n_points" in capsys.readouterr().err
 
     def test_missing_config_exits_1(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "no.yaml"), "--out", str(tmp_path / "o")]) == 1

@@ -7,24 +7,49 @@ halted ramp, 1 for a complete one. Small-batch statistics here use wide
 suite at 10^5 trials.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pulsecollapse import scenarios
 from pulsecollapse.config import parse_config
-from pulsecollapse.errors import Rule4Violation, SimulationError
+from pulsecollapse.errors import ConfigError, Rule4Violation, SimulationError
+from pulsecollapse.reduction import RngStream
 from pulsecollapse.scenarios import (
     build_backbone,
     build_initial,
+    place_hits,
     run_batch,
     run_fade_in,
     run_pulse_drift,
+    run_scenario,
     simulate_trajectory,
+    site_cdfs,
 )
 from tests.conftest import bundled_config
+
+BATCH_CONFIGS = (
+    "interaction.yaml",
+    "interaction_halted.yaml",
+    "observation_overlap.yaml",
+    "observation_disjoint.yaml",
+    "observation_single.yaml",
+    "turn_off_overlap.yaml",
+    "turn_off_disjoint.yaml",
+)
 
 
 def small(cfg, trials=4000):
     return cfg.with_overrides(trials=trials)
+
+
+def placed(cfg):
+    """The batch kernel on the run's whole draw stream at once: one row per trial."""
+    bb = build_backbone(cfg)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    return bb, place_hits(bb, *site_cdfs(bb), rng.random((cfg.trials, 3)))
 
 
 class TestBackbone:
@@ -47,6 +72,21 @@ class TestBackbone:
         bb = build_backbone(observation_overlap_cfg)
         np.testing.assert_allclose(bb.total_sq, bb.total_sq[0], rtol=0, atol=1e-9)
 
+    def test_oversized_grid_is_a_config_error(self, observation_overlap_cfg, monkeypatch):
+        """The site-table estimate trips before any grid-sized allocation."""
+        monkeypatch.setattr(scenarios, "MAX_SITE_TABLE_BYTES", 1 << 20)
+        raw = {k: dict(v) for k, v in observation_overlap_cfg.raw.items()}
+        raw["grid"]["n_points"] = 1 << 14
+        cfg = parse_config(raw)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="grid.n_points"):
+                build_backbone(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 14  # one float array over the grid
+
     def test_ready_terms_identified(self, observation_overlap_cfg):
         bb = build_backbone(observation_overlap_cfg)
         assert bb.ready_ids == (2, 3)
@@ -59,18 +99,18 @@ class TestBatch:
         cfg = small(interaction_halted_cfg)
         _, b1 = run_batch(cfg)
         _, b2 = run_batch(cfg)
-        assert b1.digest() == b2.digest()
+        assert b1.events_digest == b2.events_digest
 
     def test_seed_changes_the_batch(self, interaction_halted_cfg):
         cfg = small(interaction_halted_cfg)
         _, b1 = run_batch(cfg)
         _, b2 = run_batch(cfg.with_overrides(seed=cfg.seed + 1))
-        assert b1.digest() != b2.digest()
+        assert b1.events_digest != b2.events_digest
 
     def test_complete_transfer_reduces_every_trial(self, interaction_cfg):
         cfg = small(interaction_cfg)
-        _, batch = run_batch(cfg)
-        assert batch.hit.all()
+        _, hits = placed(cfg)
+        assert hits.hit.all()
 
     def test_halted_transfer_hit_rate_near_fraction(self, interaction_halted_cfg):
         cfg = small(interaction_halted_cfg, trials=5000)
@@ -81,31 +121,79 @@ class TestBatch:
 
     def test_hit_sites_inside_ready_support(self, interaction_cfg):
         cfg = small(interaction_cfg)
-        bb, batch = run_batch(cfg)
+        bb, hits = placed(cfg)
         support = bb.ready_amps[0] > 0
-        assert np.all(support[batch.u_sc[batch.hit]])
+        assert np.all(support[hits.u_sc[hits.hit]])
 
     def test_survivor_coefficients_match_recomputation(self, observation_overlap_cfg):
         """Stored coefficients are a_i(t_sc) * w_i(u_sc) to the last bit."""
         cfg = small(observation_overlap_cfg)
-        bb, batch = run_batch(cfg)
-        idx = np.flatnonzero(batch.hit)[:200]
+        bb, hits = placed(cfg)
+        idx = np.flatnonzero(hits.hit)[:200]
         for i in idx:
-            row = min(batch.step_index[i] + 1, len(bb.times) - 1)
+            row = min(hits.step_index[i] + 1, len(bb.times) - 1)
             for col, term in enumerate(bb.ready_ids):
-                want = bb.coeffs[row, term] * bb.ready_amps[col, batch.u_sc[i]]
-                assert batch.survivor_coeffs[i, col] == want
+                want = bb.coeffs[row, term] * bb.ready_amps[col, hits.u_sc[i]]
+                assert hits.survivor_coeffs[i, col] == want
 
     def test_post_norm_never_exceeds_pre(self, observation_overlap_cfg):
         cfg = small(observation_overlap_cfg)
-        _, batch = run_batch(cfg)
-        post = (np.abs(batch.survivor_coeffs[batch.hit]) ** 2).sum(axis=1)
-        assert np.all(post <= batch.pre_norm[batch.hit] + 1e-12)
+        _, hits = placed(cfg)
+        post = (np.abs(hits.survivor_coeffs[hits.hit]) ** 2).sum(axis=1)
+        assert np.all(post <= hits.pre_norm[hits.hit] + 1e-12)
 
     def test_disjoint_multiplicity_is_always_one(self, observation_disjoint_cfg):
         cfg = small(observation_disjoint_cfg)
+        _, hits = placed(cfg)
+        assert set((np.abs(hits.survivor_coeffs[hits.hit]) > 0).sum(axis=1)) == {1}
         _, batch = run_batch(cfg)
-        assert set(batch.multiplicity()) == {1}
+        assert batch.multiplicity_counts == {1: cfg.trials}
+
+    @pytest.mark.parametrize("chunk", [13, 997])
+    @pytest.mark.parametrize("name", BATCH_CONFIGS)
+    def test_chunk_size_changes_no_output(self, name, chunk, monkeypatch):
+        """Chunks of 997 or 13 trials, with a ragged last one, give the default run's output."""
+        cfg = bundled_config(name).with_overrides(trials=5000)
+        whole = run_scenario(cfg)
+        monkeypatch.setattr(scenarios, "CHUNK_TRIALS", chunk)
+        chunked = run_scenario(cfg)
+        assert chunked.summary == whole.summary
+        assert chunked.events == whole.events
+        assert len(whole.events) == scenarios.SAMPLE_EVENTS
+
+    def test_peak_memory_does_not_grow_with_trials(self, observation_overlap_cfg):
+        """Four times the trials, the same traced peak (unchunked placement grew 3.8x, 43 -> 166 MB)."""
+        bb = build_backbone(observation_overlap_cfg)
+        peaks = []
+        for trials in (200_000, 800_000):
+            tracemalloc.start()
+            try:
+                run_batch(observation_overlap_cfg.with_overrides(trials=trials), backbone=bb)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("name", BATCH_CONFIGS)
+    def test_batch_kernel_matches_trajectories(self, name):
+        """Fed a trajectory's (u1, u2), the batch kernel hits the same step, term and site."""
+        cfg = bundled_config(name)
+        bb = build_backbone(cfg)
+        cdf, total = site_cdfs(bb)
+        labels = [bb.state0.terms[n].apparatus_label for n in bb.ready_ids]
+        for trial in range(20):
+            out = simulate_trajectory(cfg, trial=trial)
+            ev = out.event
+            u1, u2 = ev.rng_draws if ev else (RngStream(cfg.seed, trial).uniform(), 0.5)
+            hits = place_hits(bb, cdf, total, np.array([[u1, u2, 0.5]]))
+            assert hits.hit[0] == (ev is not None)
+            if ev is None:
+                continue
+            assert hits.t_sc[0] == ev.t_sc
+            assert (hits.term_hit[0], hits.u_sc[0]) == (ev.term_hit, ev.u_sc)
+            for col, label in enumerate(labels):
+                want = ev.post_coefficients.get(label, 0j)
+                assert abs(hits.survivor_coeffs[0, col] - want) <= 1e-12
 
 
 class TestTrajectory:
@@ -199,3 +287,13 @@ class TestFadeIn:
         assert s["max_growth_per_step"] <= s["growth_bound"]
         assert s["width_rel_err"] < 0.02
         assert s["max_formation_norm_err"] < 1e-9
+
+    def test_no_hit_reports_no_width(self):
+        """A halted ramp with no event fits no formation width."""
+        cfg = bundled_config("fade_in.yaml")
+        raw = {k: dict(v) for k, v in cfg.raw.items()}
+        raw["envelope"]["fraction"] = 1e-9
+        s = run_fade_in(parse_config(raw)).summary
+        assert s["hit"] is False
+        assert math.isnan(s["sigma_fit"])
+        assert math.isnan(s["width_rel_err"])
