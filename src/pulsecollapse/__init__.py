@@ -36,13 +36,10 @@ from .errors import (
     SimulationError,
 )
 from .reduction import (
-    Hit,
     ReductionEvent,
     RngStream,
-    guard_rule4,
     hit_probability,
     reduce,
-    sample_hit,
 )
 from .scenarios import (
     Backbone,
@@ -98,11 +95,8 @@ __all__ = [
     "rule4_pairs",
     "RngStream",
     "ReductionEvent",
-    "Hit",
     "hit_probability",
-    "sample_hit",
     "reduce",
-    "guard_rule4",
     "ScenarioConfig",
     "load_config",
     "parse_config",

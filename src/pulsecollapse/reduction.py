@@ -5,9 +5,9 @@ divided by the fixed normalizer s. Over one step that is
 ``p = clamp(total_positive * dt / s, 0, 1)``; over a whole trajectory the
 *unconditional* probability that the choice lands in step i is p_i, so the
 total equals the square modulus delivered to ready components divided by s
-and a completed transfer is a certain hit. Trajectory drivers realize that
-law by conditioning each step on the unconsumed budget (see
-``scenarios``); ``sample_hit`` is the per-step primitive.
+and a completed transfer is a certain hit. The drivers in ``scenarios``
+realize that law by drawing the hit step against the cumulative budget and
+the site against the step's positive per-site current.
 
 ``reduce`` applies rule 3: the chosen site keeps every apparatus label whose
 ready factor has weight there (coefficient a_i(t_sc) * F_i(u_sc) * sqrt(du)
@@ -19,16 +19,12 @@ by the survivors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .dynamics import CurrentReport, EnvelopeSchedule, rule4_pairs
-from .errors import (
-    HitRateTooHigh,
-    NonpositiveS,
-    ZeroWeightSite,
-)
+from .dynamics import CurrentReport
+from .errors import NonpositiveS, ZeroWeightSite
 from .state import (
     PulseKind,
     SingleState,
@@ -40,11 +36,8 @@ __all__ = [
     "MAX_STEP_HIT_PROBABILITY",
     "RngStream",
     "ReductionEvent",
-    "Hit",
     "hit_probability",
-    "sample_hit",
     "reduce",
-    "guard_rule4",
 ]
 
 # Per-step resolution bound: raw J+ dt / s must stay below this.
@@ -95,74 +88,11 @@ class ReductionEvent:
     ramp_progress: float = 1.0
 
 
-@dataclass(frozen=True)
-class Hit:
-    """Outcome of a per-step hit test: which term, which site, which draws."""
-
-    term_index: int
-    site_index: int
-    draws: Tuple[float, float]
-
-
 def hit_probability(report: CurrentReport, s: float, dt: float) -> float:
     """Rule-1 step probability, clamp((sum of positive J_n) * dt / s, 0, 1)."""
     if not s > 0.0:
         raise NonpositiveS(f"s must be positive, got {s}")
     return min(max(report.total_positive * dt / s, 0.0), 1.0)
-
-
-def _site_selection_weights(state: SystemState, report: CurrentReport):
-    """Positive per-site currents of non-phantom ready terms, flattened."""
-    term_ids = []
-    rows = []
-    for n, arr in sorted(report.per_site.items()):
-        term = state.terms[n]
-        if term.phantom or not term.brain.is_ready:
-            continue
-        pos = np.clip(arr, 0.0, None)
-        term_ids.append(n)
-        rows.append(pos)
-    if not rows:
-        return [], np.zeros((0, state.grid.n_points))
-    return term_ids, np.vstack(rows)
-
-
-def sample_hit(
-    state: SystemState,
-    report: CurrentReport,
-    dt: float,
-    rng: RngStream,
-    probability: Optional[float] = None,
-) -> Optional[Hit]:
-    """Per-step stochastic choice.
-
-    Draws one uniform against the hit probability; on a hit draws a second
-    and picks a site among ready-pulse (or ready site-state) sites with
-    probability proportional to positive per-site current. Phantom terms and
-    conscious factors are never targets. ``probability`` lets a trajectory
-    driver substitute the budget-conditioned value; the raw per-step
-    probability must stay below 0.05 either way or HitRateTooHigh is raised.
-    """
-    raw = hit_probability(report, state.s, dt)
-    if raw >= MAX_STEP_HIT_PROBABILITY:
-        raise HitRateTooHigh(
-            f"per-step hit probability {raw:.4f} >= {MAX_STEP_HIT_PROBABILITY}; reduce dt"
-        )
-    p = raw if probability is None else min(max(probability, 0.0), 1.0)
-    u1 = rng.uniform()
-    if u1 >= p:
-        return None
-    term_ids, weights = _site_selection_weights(state, report)
-    total = float(weights.sum())
-    if total <= 0.0:
-        return None
-    u2 = rng.uniform()
-    flat = weights.ravel()
-    cdf = np.cumsum(flat)
-    k = int(np.searchsorted(cdf, u2 * total, side="right"))
-    k = min(k, flat.size - 1)
-    row, site = divmod(k, state.grid.n_points)
-    return Hit(term_index=term_ids[row], site_index=int(site), draws=(u1, u2))
 
 
 def reduce(state: SystemState, term_hit: int, u_sc: int) -> SystemState:
@@ -209,12 +139,3 @@ def reduce(state: SystemState, term_hit: int, u_sc: int) -> SystemState:
                 )
             )
     return state.with_terms(new_terms)
-
-
-def guard_rule4(schedule: EnvelopeSchedule, state: SystemState) -> list:
-    """Transfers forbidden by rule 4 (ready -> ready, same observer).
-
-    Empty list when the schedule is legal. The returned pairs name source
-    term, destination term, and observer.
-    """
-    return rule4_pairs(state, schedule)

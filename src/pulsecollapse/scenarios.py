@@ -7,12 +7,14 @@ returns a result whose summary is a pure function of (config, seed).
 Two drivers share the same probability law. ``simulate_trajectory`` steps a
 single trial at full fidelity (reduce, form_pulse, turn-off and disengage
 phases all exercised on real states). ``run_batch`` exploits the fact that
-the pre-hit flow is deterministic: it steps the backbone once, then places
-every trial's hit by drawing one uniform against the cumulative hit budget
-C(t) = (transferred square modulus)/s and a second against the per-site
-positive-current distribution of the hit step. Budget placement makes the
-unconditional probability of a hit in step i exactly p_i = J+ dt / s, so a
-completed transfer is a certain hit and the total equals the closed form.
+the pre-hit flow is the envelope's closed form: it evaluates that backbone
+once on the time grid, then places every trial's hit by drawing one uniform
+against the cumulative hit budget C(t) = (transferred square modulus)/s and
+a second against the per-site positive-current distribution of the hit
+step. Budget placement makes the unconditional probability of a hit in step
+i exactly p_i = J+ dt / s, so a completed transfer is a certain hit and the
+total equals the closed form. Both drivers pick the site from the same flat
+(ready term, site) CDF, built by ``site_cdfs``.
 
 A residual budget below 1e-12 at the end of a completed transfer counts as
 certain (float telescoping can leave ~1e-15 behind).
@@ -232,18 +234,16 @@ def _ramp_from(cfg: ScenarioConfig, state: SystemState, transfers) -> EnvelopeSc
 
 @dataclass
 class Backbone:
-    """Stepped pre-hit flow shared by all trials of one config."""
+    """Closed-form pre-hit flow on the time grid, shared by all trials of one config."""
 
     state0: SystemState
     schedule: EnvelopeSchedule
-    final_state: SystemState
+    dt: float
     times: np.ndarray
     coeffs: np.ndarray
-    sq_terms: np.ndarray
     total_sq: np.ndarray
     step_mass: np.ndarray
     cum_budget: np.ndarray
-    site_mass: np.ndarray
     ready_ids: Tuple[int, ...]
     ready_amps: np.ndarray
     dst_factor: np.ndarray
@@ -261,11 +261,21 @@ def _scenario_step_counts(cfg: ScenarioConfig) -> Tuple[int, int]:
     return ramp_steps, cfg.data["scenario"]["tail_steps"]
 
 
-def build_backbone(cfg: ScenarioConfig) -> Backbone:
-    """Step the deterministic flow once, recording currents and budget.
+def _hit_targets(state: SystemState) -> Tuple[Tuple[int, ...], np.ndarray]:
+    """The terms a hit may choose (non-phantom ready terms) and their |unit-basis site amplitudes|."""
+    ids = tuple(n for n, t in enumerate(state.terms) if t.brain.is_ready and not t.phantom)
+    return ids, np.vstack([np.abs(state.terms[n].brain.site_amplitudes(state.grid)) for n in ids])
 
-    A grid whose per-step site tables (steps x ready terms x sites x 8 B) would
-    exceed MAX_SITE_TABLE_BYTES is refused before anything grid-sized is made.
+
+def build_backbone(cfg: ScenarioConfig) -> Backbone:
+    """Evaluate the envelope's closed form on the time grid, with its hit budget.
+
+    Before a hit only the scheduled coefficients move and every brain factor
+    is static, so the values equal those of ``step`` applied step by step,
+    and its per-step checks (rule-4 guard, hit-rate cap, conservation, pulse
+    norm) run once on whole arrays. A grid whose site tables (steps x ready
+    terms x sites x 8 B) would exceed MAX_SITE_TABLE_BYTES is refused before
+    anything grid-sized is made.
     """
     if cfg.name not in _READY_TERMS:
         raise SimulationError(f"scenario {cfg.name!r} has no ramp backbone")
@@ -279,82 +289,61 @@ def build_backbone(cfg: ScenarioConfig) -> Backbone:
             f"{table_bytes / 2**30:.1f} GiB of site tables, over the {MAX_SITE_TABLE_BYTES >> 30} GiB limit"
         )
     state0, schedule = build_initial(cfg)
-    n_terms = len(state0.terms)
-    grid = state0.grid
+    if cfg.guard:
+        pairs = rule4_pairs(state0, schedule)
+        if pairs:
+            raise Rule4Violation(pairs)
+    dt, s = cfg.dt, state0.s
+    ready_ids, ready_amps = _hit_targets(state0)
 
-    ready_ids = tuple(
-        n for n, t in enumerate(state0.terms) if t.brain.is_ready and not t.phantom
-    )
-    ready_amps = np.vstack([
-        np.abs(state0.terms[n].brain.site_amplitudes(grid)) for n in ready_ids
-    ])
+    times = [state0.time]
+    for _ in range(n_steps):
+        times.append(times[-1] + dt)
+    rows = [[t.coefficient for t in state0.terms]]
+    for t in times[1:]:
+        pred = schedule.predicted_coefficients(t)
+        rows.append([pred.get(n, c) for n, c in enumerate(rows[0])])
+    # square moduli as Term.square_modulus takes them: Python abs and pow
+    norms = [t.brain.norm_sq() for t in state0.terms]
+    sq_rows = [[abs(c) ** 2 * nrm for c, nrm in zip(row, norms)] for row in rows]
+    total = np.array([sum(row) for row in sq_rows])
+    currents = np.diff(np.array(sq_rows), axis=0) / dt
+    step_mass = np.clip(np.where(currents > 0.0, currents, 0.0).sum(axis=1) * dt / s, 0.0, 1.0)
 
-    times = np.empty(n_steps + 1)
-    coeffs = np.empty((n_steps + 1, n_terms), dtype=np.complex128)
-    sq_terms = np.empty((n_steps + 1, n_terms))
-    total = np.empty(n_steps + 1)
-    step_mass = np.empty(n_steps)
-    site_mass = np.empty((n_steps, len(ready_ids), grid.n_points))
-    dst_factor = np.empty(n_steps + 1)
-
-    state = state0
-    times[0] = state.time
-    coeffs[0] = [t.coefficient for t in state.terms]
-    sq_terms[0] = [t.square_modulus() for t in state.terms]
-    total[0] = total_square_modulus(state)
-    dst_factor[0] = schedule.envelope_factors(state.time)[1]
-
-    max_norm_err = 0.0
-    max_step_p = 0.0
-    s = state.s
-    dt = cfg.dt
-    for i in range(n_steps):
-        state, report = step(state, schedule, dt, guard=cfg.guard)
-        p = hit_probability(report, s, dt)
-        if p >= MAX_STEP_HIT_PROBABILITY:
-            raise HitRateTooHigh(
-                f"per-step hit probability {p:.4f} >= {MAX_STEP_HIT_PROBABILITY}; reduce dt"
-            )
-        step_mass[i] = p
-        for r, n in enumerate(ready_ids):
-            site_mass[i, r] = np.clip(report.per_site[n], 0.0, None) * dt / s
-        times[i + 1] = state.time
-        coeffs[i + 1] = [t.coefficient for t in state.terms]
-        sq_terms[i + 1] = [t.square_modulus() for t in state.terms]
-        total[i + 1] = total_square_modulus(state)
-        dst_factor[i + 1] = schedule.envelope_factors(state.time)[1]
-        for t in state.terms:
-            if isinstance(t.brain, PulseFactor):
-                max_norm_err = max(max_norm_err, abs(t.brain.norm_sq() - 1.0))
-        max_step_p = max(max_step_p, p)
-
-    elapsed = times[-1] - times[0]
+    too_fast = np.flatnonzero(step_mass >= MAX_STEP_HIT_PROBABILITY)
+    if too_fast.size:
+        raise HitRateTooHigh(
+            f"per-step hit probability {step_mass[too_fast[0]]:.4f} >= "
+            f"{MAX_STEP_HIT_PROBABILITY}; reduce dt"
+        )
     cons_drift = float(np.max(np.abs(total - total[0])))
-    if cons_drift > CONSERVATION_TOL * max(1.0, elapsed):
+    if cons_drift > CONSERVATION_TOL * max(1.0, times[-1] - times[0]):
         raise InvariantBreach(
             "norm-conservation", f"total square modulus drifted by {cons_drift:.3e}"
         )
+    max_norm_err = max(
+        (abs(t.brain.norm_sq() - 1.0) for t in state0.terms if isinstance(t.brain, PulseFactor)),
+        default=0.0,
+    )
     if max_norm_err > NORM_TOL:
         raise InvariantBreach("pulse-normalization", f"pulse norm error {max_norm_err:.3e}")
 
     return Backbone(
         state0=state0,
         schedule=schedule,
-        final_state=state,
-        times=times,
-        coeffs=coeffs,
-        sq_terms=sq_terms,
+        dt=dt,
+        times=np.array(times),
+        coeffs=np.array(rows, dtype=np.complex128),
         total_sq=total,
         step_mass=step_mass,
         cum_budget=np.cumsum(step_mass),
-        site_mass=site_mass,
         ready_ids=ready_ids,
         ready_amps=ready_amps,
-        dst_factor=dst_factor,
+        dst_factor=np.array([schedule.envelope_factors(t)[1] for t in times]),
         audits={
             "max_conservation_drift": cons_drift,
             "max_pulse_norm_error": max_norm_err,
-            "max_step_hit_probability": max_step_p,
+            "max_step_hit_probability": float(step_mass.max(initial=0.0)),
         },
     )
 
@@ -399,15 +388,37 @@ class EventBatch:
     events_digest: str
 
 
-def site_cdfs(bb: Backbone, biased: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-    """Each step's flat (ready term, site) current CDF and its total.
+def site_cdfs(
+    coeffs: np.ndarray, ready_amps: np.ndarray, dt: float, s: float, biased: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each step's flat (ready term, site) hit-mass CDF and its total.
 
-    ``biased`` squares the weights first: the site-selection negative control.
+    ``coeffs`` holds the ready terms' coefficients at the step boundaries
+    (one row more than steps) and ``ready_amps`` their |unit-basis site
+    amplitudes|. The hit mass of (term, site) over a step is the positive
+    increase of |c|^2 |w|^2 over the step, divided by s, computed as ``step``
+    computes its per-site currents. ``biased`` squares the weights first:
+    the site-selection negative control.
     """
-    weights = bb.site_mass.reshape(len(bb.step_mass), -1)
+    # |c|^2 through libm pow and |w|^2 through numpy's array square, as
+    # dynamics._site_masses takes them, so the tables equal step's currents bit for bit
+    csq = np.array([a**2 for a in np.abs(coeffs).ravel().tolist()]).reshape(coeffs.shape)
+    mass = csq[:, :, None] * ready_amps**2
+    weights = np.diff(mass, axis=0).reshape(len(mass) - 1, -1)
+    del mass
+    # clip(increase / dt, 0) * dt / s, in place so at most two tables are alive at once
+    weights /= dt
+    np.clip(weights, 0.0, None, out=weights)
+    weights *= dt
+    weights /= s
     if biased:
         weights = weights**2
     return np.cumsum(weights, axis=1), weights.sum(axis=1)
+
+
+def _flat_cell(cdf: np.ndarray, targets):
+    """Flat (ready term, site) cell whose CDF bracket holds each target."""
+    return np.minimum(np.searchsorted(cdf, targets, side="right"), len(cdf) - 1)
 
 
 def place_hits(bb: Backbone, cdf: np.ndarray, total: np.ndarray, draws: np.ndarray) -> Placement:
@@ -436,8 +447,8 @@ def place_hits(bb: Backbone, cdf: np.ndarray, total: np.ndarray, draws: np.ndarr
     flat = np.empty(len(hit_ids), dtype=np.int64)
     for i, lo, hi in zip(range(len(C)), bounds[:-1].tolist(), bounds[1:].tolist()):
         if hi > lo:
-            flat[lo:hi] = np.searchsorted(cdf[i], target[lo:hi], side="right")
-    rows, sites = np.divmod(np.minimum(flat, cdf.shape[1] - 1), bb.site_mass.shape[2])
+            flat[lo:hi] = _flat_cell(cdf[i], target[lo:hi])
+    rows, sites = np.divmod(flat, bb.ready_amps.shape[1])
     u_sc = np.zeros(len(draws), dtype=np.int64)
     term_hit = np.full(len(draws), -1, dtype=np.int64)
     u_sc[hit_ids], term_hit[hit_ids] = sites, np.asarray(bb.ready_ids)[rows]
@@ -469,10 +480,15 @@ def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple
     """
     bb = backbone if backbone is not None else build_backbone(cfg)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    cdf, total = site_cdfs(bb, cfg.data["debug"]["bias_site_selection"])
     ready = list(bb.ready_ids)
-    labels = [bb.state0.terms[n].apparatus_label for n in ready]
-    n_sites = bb.site_mass.shape[2]
+    cdf, total = site_cdfs(
+        bb.coeffs[:, ready], bb.ready_amps, bb.dt, bb.state0.s, cfg.data["debug"]["bias_site_selection"]
+    )
+    ready_terms = [bb.state0.terms[n] for n in ready]
+    labels = [t.apparatus_label for t in ready_terms]
+    site_amps = np.vstack([t.brain.site_amplitudes(bb.state0.grid) for t in ready_terms])
+    scheduled: Dict[float, List[complex]] = {}  # ready coefficients at each t_sc seen
+    n_sites = site_amps.shape[1]
     digest = hashlib.sha256()
     site_counts = np.zeros(n_sites, dtype=np.int64)
     mult_counts = np.zeros(len(ready) + 1, dtype=np.int64)
@@ -495,7 +511,14 @@ def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple
         post = w.sum(axis=1)
         if np.any(post > p.pre_norm[idx] + 1e-12):
             raise InvariantBreach("reduction-bound", "post square modulus exceeded pre-hit norm")
-        recomputed = bb.coeffs[p.step_index[idx, None] + 1, ready] * bb.ready_amps[:, sites].T
+        # provenance: a_i(t_sc) * w_i(u_sc) from the schedule, apart from the kernel's tables
+        t_hit, at = np.unique(p.t_sc[idx], return_inverse=True)
+        for t in t_hit.tolist():
+            if t not in scheduled:
+                pred = bb.schedule.predicted_coefficients(t)
+                scheduled[t] = [pred.get(n, term.coefficient) for n, term in zip(ready, ready_terms)]
+        a_sc = np.array([scheduled[t] for t in t_hit.tolist()], dtype=np.complex128)
+        recomputed = a_sc.reshape(len(t_hit), len(ready))[at] * site_amps[:, sites].T
         prov_err = max(prov_err, float(np.max(np.abs(recomputed - surv), initial=0.0)))
         mult_counts += np.bincount((amp > 0).sum(axis=1), minlength=len(ready) + 1)
         born = np.where(post > 0, w[:, labels.index(2)] / np.where(post > 0, post, 1.0), 0.0)
@@ -543,23 +566,6 @@ class TrajectoryOutcome:
     extras: Dict
 
 
-def _select_site(state, report, u2: float, biased: bool = False):
-    from .reduction import _site_selection_weights
-
-    term_ids, weights = _site_selection_weights(state, report)
-    if biased:
-        weights = weights**2
-    flat = weights.ravel()
-    tot = float(flat.sum())
-    if tot <= 0.0:
-        return None
-    cdf = np.cumsum(flat)
-    k = int(np.searchsorted(cdf, u2 * tot, side="right"))
-    k = min(k, flat.size - 1)
-    row, site = divmod(k, state.grid.n_points)
-    return term_ids[row], int(site)
-
-
 def simulate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> TrajectoryOutcome:
     """Step one trial end to end, with reduction and formation on real states.
 
@@ -594,6 +600,7 @@ def simulate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> TrajectoryOutcom
         extra_steps = cfg.data["formation"]["settle_steps"]
     n_steps += extra_steps
 
+    ready_ids, ready_amps = _hit_targets(state)
     hold = EnvelopeSchedule.hold()
     active = schedule
     budget = 0.0
@@ -613,6 +620,7 @@ def simulate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> TrajectoryOutcom
     budget_rows = [0.0]
 
     for i in range(n_steps):
+        before = state
         state, report = step(state, active, dt, guard=cfg.guard)
         if event is None:
             p = hit_probability(report, s, dt)
@@ -625,10 +633,14 @@ def simulate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> TrajectoryOutcom
                 progress = (
                     active.envelope_factors(state.time)[1] / schedule.envelope_factors(1e30)[1]
                 )
-                choice = _select_site(state, report, u2, cfg.data["debug"]["bias_site_selection"])
-                if choice is None:
+                edges = np.array([[st.terms[n].coefficient for n in ready_ids] for st in (before, state)])
+                cdf, total = site_cdfs(
+                    edges, ready_amps, dt, s, cfg.data["debug"]["bias_site_selection"]
+                )
+                if not total[0] > 0.0:
                     raise InvariantBreach("site-selection", "hit fired with no positive site current")
-                term_idx, site = choice
+                row, site = divmod(int(_flat_cell(cdf[0], u2 * total[0])), grid.n_points)
+                term_idx = ready_ids[row]
                 pre = total_square_modulus(state)
                 state = reduce(state, term_idx, site)
                 post = {

@@ -12,15 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from pulsecollapse.dynamics import EnvelopeSchedule, step
-from pulsecollapse.errors import HitRateTooHigh, NonpositiveS, ZeroWeightSite
+from pulsecollapse.dynamics import EnvelopeSchedule, rule4_pairs, step
+from pulsecollapse.errors import NonpositiveS, ZeroWeightSite
 from pulsecollapse.reduction import (
     ReductionEvent,
     RngStream,
-    guard_rule4,
     hit_probability,
     reduce,
-    sample_hit,
 )
 from pulsecollapse.state import (
     BrainGrid,
@@ -98,45 +96,6 @@ def test_rng_stream_reproducible():
     np.testing.assert_array_equal(da, db)
     assert not np.array_equal(da, dc)
     assert np.all((0 <= da) & (da < 1))
-
-
-def test_sample_hit_miss_consumes_one_draw():
-    state = observation_state()
-    state, sch, report = ramped(state)
-    rng = RngStream(99, trial=0)
-    # per-step probability is well below any uniform ~0.9
-    hit = sample_hit(state, report, 0.005, rng, probability=1e-12)
-    assert hit is None
-
-
-def test_sample_hit_targets_only_ready_support():
-    """Forced hits always land where some ready pulse has weight."""
-    state = observation_state()
-    state, sch, report = ramped(state)
-    support = np.zeros(GRID.n_points, dtype=bool)
-    for term in state.terms[2:]:
-        support |= np.abs(term.brain.pulse.weights) > 0
-    for trial in range(64):
-        rng = RngStream(7, trial=trial)
-        hit = sample_hit(state, report, 0.005, rng, probability=1.0)
-        assert hit is not None
-        assert support[hit.site_index]
-        assert hit.term_index in (2, 3)
-        assert len(hit.draws) == 2
-
-
-def test_sample_hit_rejects_fast_stepping():
-    """A raw per-step probability >= 0.05 means dt is too coarse."""
-    state = observation_state()
-    state, sch, report = ramped(state)
-
-    class Fat:
-        total_positive = 100.0
-        per_site = report.per_site
-
-    rng = RngStream(1, trial=0)
-    with pytest.raises(HitRateTooHigh):
-        sample_hit(state, Fat(), 0.005, rng)
 
 
 def test_reduce_survivor_coefficients_are_amplitude_products():
@@ -249,6 +208,6 @@ def test_guard_rule4_flags_same_observer_pairs():
         grid=GRID,
     )
     sch = EnvelopeSchedule.trig(state, [(0, (1,))], t_start=0.0, t_end=1.0)
-    pairs = guard_rule4(sch, state)
+    pairs = rule4_pairs(state, sch)
     assert len(pairs) == 1
     assert (pairs[0].src, pairs[0].dst) == (0, 1)

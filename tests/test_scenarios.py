@@ -7,16 +7,22 @@ halted ramp, 1 for a complete one. Small-batch statistics here use wide
 suite at 10^5 trials.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pulsecollapse import scenarios
+from pulsecollapse import dynamics, scenarios
 from pulsecollapse.config import parse_config
-from pulsecollapse.errors import ConfigError, Rule4Violation, SimulationError
-from pulsecollapse.reduction import RngStream
+from pulsecollapse.errors import (
+    ConfigError,
+    HitRateTooHigh,
+    Rule4Violation,
+    SimulationError,
+)
+from pulsecollapse.reduction import RngStream, hit_probability
 from pulsecollapse.scenarios import (
     build_backbone,
     build_initial,
@@ -28,6 +34,7 @@ from pulsecollapse.scenarios import (
     simulate_trajectory,
     site_cdfs,
 )
+from pulsecollapse.state import PulseFactor, Term, total_square_modulus
 from tests.conftest import bundled_config
 
 BATCH_CONFIGS = (
@@ -39,17 +46,70 @@ BATCH_CONFIGS = (
     "turn_off_overlap.yaml",
     "turn_off_disjoint.yaml",
 )
+BACKBONE_CONFIGS = BATCH_CONFIGS + ("disengage.yaml", "fade_in.yaml")
+
+# events_digest of each batch config at its own seed and 10^5 trials
+GOLDEN_DIGESTS = {
+    "interaction.yaml": "09cb6ed5a335e803ddd94370dac30992c108332b176e0de2f0d12975ef3aa3ee",
+    "interaction_halted.yaml": "3132202ac6137c159f379227b8b87169427fde9ca93f265b316e2941a9a71bfa",
+    "observation_overlap.yaml": "ebad0931c52c275523707929547ee8f1d13ef462f7722aaac3990cf99bf94abb",
+    "observation_disjoint.yaml": "0b7440a0ec8c8ea49f3f793fb0db3dddc19f8fe851b8b056e3d16b935d8a0223",
+    "observation_single.yaml": "f1e685adb2b9287cff8c13cbff350b54599ef67c62e7f17b6f78045a67236c30",
+    "turn_off_overlap.yaml": "fa3af40d32a0e9073ae7f2303be80e43605b0dd5da49873fdbf624268d60f965",
+    "turn_off_disjoint.yaml": "5197fa1c16cb6e4f0d19da594a17a399626d000d16bcc2c446e643c22772288d",
+}
 
 
 def small(cfg, trials=4000):
     return cfg.with_overrides(trials=trials)
 
 
+def cdfs(bb, biased=False):
+    return site_cdfs(bb.coeffs[:, list(bb.ready_ids)], bb.ready_amps, bb.dt, bb.state0.s, biased)
+
+
 def placed(cfg):
     """The batch kernel on the run's whole draw stream at once: one row per trial."""
     bb = build_backbone(cfg)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    return bb, place_hits(bb, *site_cdfs(bb), rng.random((cfg.trials, 3)))
+    return bb, place_hits(bb, *cdfs(bb), rng.random((cfg.trials, 3)))
+
+
+def stepped_backbone(cfg):
+    """The pre-hit flow advanced by ``dynamics.step`` one step at a time."""
+    state, schedule = build_initial(cfg)
+    s, dt = state.s, cfg.dt
+    ready = [n for n, t in enumerate(state.terms) if t.brain.is_ready and not t.phantom]
+    times, total = [state.time], [total_square_modulus(state)]
+    coeffs = [[t.coefficient for t in state.terms]]
+    dst_factor = [schedule.envelope_factors(state.time)[1]]
+    step_mass, weights, norm_err = [], [], 0.0
+    for _ in range(sum(scenarios._scenario_step_counts(cfg))):
+        state, report = dynamics.step(state, schedule, dt, guard=cfg.guard)
+        step_mass.append(hit_probability(report, s, dt))
+        weights.append(np.concatenate([np.clip(report.per_site[n], 0.0, None) * dt / s for n in ready]))
+        times.append(state.time)
+        coeffs.append([t.coefficient for t in state.terms])
+        total.append(total_square_modulus(state))
+        dst_factor.append(schedule.envelope_factors(state.time)[1])
+        for t in state.terms:
+            if isinstance(t.brain, PulseFactor):
+                norm_err = max(norm_err, abs(t.brain.norm_sq() - 1.0))
+    total = np.array(total)
+    return {
+        "times": np.array(times),
+        "coeffs": np.array(coeffs, dtype=np.complex128),
+        "total_sq": total,
+        "step_mass": np.array(step_mass),
+        "cum_budget": np.cumsum(step_mass),
+        "dst_factor": np.array(dst_factor),
+        "weights": np.array(weights),
+        "audits": {
+            "max_conservation_drift": float(np.max(np.abs(total - total[0]))),
+            "max_pulse_norm_error": norm_err,
+            "max_step_hit_probability": max(step_mass),
+        },
+    }
 
 
 class TestBackbone:
@@ -90,10 +150,58 @@ class TestBackbone:
     def test_ready_terms_identified(self, observation_overlap_cfg):
         bb = build_backbone(observation_overlap_cfg)
         assert bb.ready_ids == (2, 3)
-        assert bb.site_mass.shape[1] == 2
+        cdf, total = cdfs(bb)
+        assert cdf.shape == (len(bb.step_mass), 2 * bb.state0.grid.n_points)
+        assert total.shape == bb.step_mass.shape
+
+    @pytest.mark.parametrize("name", BACKBONE_CONFIGS)
+    def test_closed_form_equals_stepped_reference(self, name):
+        """The closed-form backbone and its site tables equal the stepped flow bit for bit."""
+        cfg = bundled_config(name)
+        bb = build_backbone(cfg)
+        ref = stepped_backbone(cfg)
+        for key in ("times", "coeffs", "total_sq", "step_mass", "cum_budget", "dst_factor"):
+            assert np.array_equal(getattr(bb, key), ref[key]), key
+        for biased in (False, True):
+            w = ref["weights"] ** 2 if biased else ref["weights"]
+            cdf, total = cdfs(bb, biased)
+            assert np.array_equal(cdf, np.cumsum(w, axis=1))
+            assert np.array_equal(total, w.sum(axis=1))
+        assert bb.audits == ref["audits"]
+
+    def test_site_tables_square_as_step_does(self, observation_overlap_cfg):
+        """site_cdfs takes |c|^2 with libm pow, as step's per-site currents do;
+        for these coefficients x * x differs from pow in the last bit."""
+        bb = build_backbone(observation_overlap_cfg)
+        dt, s, ready = bb.dt, bb.state0.s, list(bb.ready_ids)
+        odd = [v for v in np.random.default_rng(3).random(40_000).tolist() if v**2 != v * v][:2]
+        rows = [[0.5 * v for v in odd], odd]
+
+        def state_with(row):
+            terms = list(bb.state0.terms)
+            for n, c in zip(ready, row):
+                terms[n] = Term(terms[n].apparatus_label, complex(c), terms[n].brain)
+            return bb.state0.with_terms(terms)
+
+        m0, m1 = (dynamics._site_masses(state_with(row)) for row in rows)
+        w = np.concatenate([np.clip((m1[n] - m0[n]) / dt, 0.0, None) * dt / s for n in ready])
+        cdf, total = site_cdfs(np.array(rows, dtype=np.complex128), bb.ready_amps, dt, s)
+        assert np.array_equal(cdf[0], np.cumsum(w))
+
+    def test_fast_stepping_is_rejected(self, interaction_cfg, monkeypatch):
+        """A per-step hit probability at or above the cap means dt is too coarse."""
+        monkeypatch.setattr(scenarios, "MAX_STEP_HIT_PROBABILITY", 1e-3)
+        with pytest.raises(HitRateTooHigh):
+            build_backbone(interaction_cfg)
 
 
 class TestBatch:
+    @pytest.mark.parametrize("name", BATCH_CONFIGS)
+    def test_golden_digest(self, name):
+        """The output for a config's own seed is pinned; any change to it must be deliberate."""
+        _, batch = run_batch(bundled_config(name).with_overrides(trials=100_000))
+        assert batch.events_digest == GOLDEN_DIGESTS[name]
+
     def test_deterministic_digest(self, interaction_halted_cfg):
         """Same config and seed give byte-identical event batches."""
         cfg = small(interaction_halted_cfg)
@@ -135,6 +243,39 @@ class TestBatch:
             for col, term in enumerate(bb.ready_ids):
                 want = bb.coeffs[row, term] * bb.ready_amps[col, hits.u_sc[i]]
                 assert hits.survivor_coeffs[i, col] == want
+
+    def test_provenance_gate_catches_shifted_coefficients(self, observation_overlap_cfg):
+        """Survivors built from coefficient rows one step off fail the 1e-12 provenance check."""
+        cfg = small(observation_overlap_cfg)
+        bb = build_backbone(cfg)
+        _, batch = run_batch(cfg, backbone=bb)
+        assert batch.max_provenance_error <= 1e-12
+        shifted = dataclasses.replace(bb, coeffs=np.roll(bb.coeffs, -1, axis=0))
+        _, bad = run_batch(cfg, backbone=shifted)
+        assert bad.max_provenance_error > 1e-12
+
+    def test_site_pick_targets_only_ready_support(self, interaction_cfg, monkeypatch):
+        """Both drivers pick a non-phantom ready term at a site where it has weight:
+        never the conscious source, never a phantom copy of the ready pulse."""
+        build = scenarios.build_initial
+
+        def with_phantom(cfg):
+            state, schedule = build(cfg)
+            ghost = Term(apparatus_label=3, coefficient=0.5 + 0j, brain=state.terms[1].brain, phantom=True)
+            return state.with_terms(state.terms + (ghost,)), schedule
+
+        monkeypatch.setattr(scenarios, "build_initial", with_phantom)
+        cfg = small(interaction_cfg)
+        bb, hits = placed(cfg)
+        assert bb.ready_ids == (1,)
+        support = bb.ready_amps[0] > 0
+        assert hits.hit.all()
+        assert set(hits.term_hit) == {1}
+        assert np.all(support[hits.u_sc])
+        for trial in range(16):
+            ev = simulate_trajectory(cfg, trial=trial).event
+            assert ev.term_hit == 1 and support[ev.u_sc]
+            assert set(ev.post_coefficients) == {2}
 
     def test_post_norm_never_exceeds_pre(self, observation_overlap_cfg):
         cfg = small(observation_overlap_cfg)
@@ -179,7 +320,7 @@ class TestBatch:
         """Fed a trajectory's (u1, u2), the batch kernel hits the same step, term and site."""
         cfg = bundled_config(name)
         bb = build_backbone(cfg)
-        cdf, total = site_cdfs(bb)
+        cdf, total = cdfs(bb)
         labels = [bb.state0.terms[n].apparatus_label for n in bb.ready_ids]
         for trial in range(20):
             out = simulate_trajectory(cfg, trial=trial)
@@ -238,6 +379,11 @@ class TestTrajectory:
                 label = term.apparatus_label
                 got = ev.post_coefficients.get(label, 0j)
                 assert abs(got - want) <= 1e-12
+
+    def test_fast_stepping_is_rejected(self, interaction_cfg, monkeypatch):
+        monkeypatch.setattr(scenarios, "MAX_STEP_HIT_PROBABILITY", 1e-3)
+        with pytest.raises(HitRateTooHigh):
+            simulate_trajectory(interaction_cfg)
 
     def test_turn_off_spot_decision_recorded(self, turn_off_overlap_cfg):
         out = simulate_trajectory(small(turn_off_overlap_cfg), trial=1)
