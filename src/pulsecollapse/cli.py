@@ -341,7 +341,7 @@ def _verify_one(cfg: ScenarioConfig, checks: List[Dict], label: str) -> None:
         )
         out = None
         for trial in range(10):
-            out = simulate_trajectory(small, trial=trial)
+            out = simulate_trajectory(small, trial=trial, backbone=bb)
             if out.event is not None:
                 break
         if out.event is None:

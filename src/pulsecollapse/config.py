@@ -308,6 +308,10 @@ def _check_values(name: str, data: Dict[str, Dict[str, Any]]) -> None:
         raise ConfigError(f"scenario.trials must be >= 1, got {sc['trials']}")
     if sc["seed"] < 0:
         raise ConfigError(f"scenario.seed must be nonnegative, got {sc['seed']}")
+    counts = (("scenario", "tail_steps"), ("formation", "settle_steps"), ("disengage", "hold_steps"))
+    for section, key in counts:
+        if data.get(section, {}).get(key, 0) < 0:
+            raise ConfigError(f"{section}.{key} must be nonnegative, got {data[section][key]}")
     grid = data["grid"]
     if grid["n_points"] < 8:
         raise ConfigError(f"grid.n_points must be >= 8, got {grid['n_points']}")

@@ -4,17 +4,20 @@ Each runner builds the initial superposition and envelope schedule for one
 measurement story, evolves it, applies the rule-1 stochastic choice, and
 returns a result whose summary is a pure function of (config, seed).
 
-Two drivers share the same probability law. ``simulate_trajectory`` steps a
-single trial at full fidelity (reduce, form_pulse, turn-off and disengage
-phases all exercised on real states). ``run_batch`` exploits the fact that
-the pre-hit flow is the envelope's closed form: it evaluates that backbone
-once on the time grid, then places every trial's hit by drawing one uniform
-against the cumulative hit budget C(t) = (transferred square modulus)/s and
-a second against the per-site positive-current distribution of the hit
-step. Budget placement makes the unconditional probability of a hit in step
-i exactly p_i = J+ dt / s, so a completed transfer is a certain hit and the
-total equals the closed form. Both drivers pick the site from the same flat
-(ready term, site) CDF, built by ``site_cdfs``.
+Two drivers share one probability law and one pre-hit flow. Before a hit
+only the envelope moves, so ``build_backbone`` evaluates its closed form
+once on the time grid, with the cumulative hit budget C(t) = (transferred
+square modulus)/s. A hit's step is placed by drawing one uniform against
+C(t) (``_hit_steps``) and its site by drawing a second against the
+per-site positive-current distribution of that step. Budget placement
+makes the unconditional probability of a hit in step i exactly
+p_i = J+ dt / s, so a completed transfer is a certain hit and the total
+equals the closed form. Both drivers pick the site from the same flat
+(ready term, site) CDF, built by ``site_cdfs``. ``run_batch`` places many
+trials' hits at once and keeps aggregates; ``simulate_trajectory`` places
+one, reads its log up to the hit from the backbone, and from the hit on
+steps real states at full fidelity (reduce, form_pulse, turn-off and
+disengage phases).
 
 A residual budget below 1e-12 at the end of a completed transfer counts as
 certain (float telescoping can leave ~1e-15 behind).
@@ -50,12 +53,12 @@ from .reduction import (
     MAX_STEP_HIT_PROBABILITY,
     ReductionEvent,
     RngStream,
-    hit_probability,
     reduce,
 )
 from .state import (
     BrainGrid,
     DisengagedX,
+    Pulse,
     PulseFactor,
     PulseKind,
     SingleState,
@@ -273,21 +276,11 @@ def build_backbone(cfg: ScenarioConfig) -> Backbone:
     Before a hit only the scheduled coefficients move and every brain factor
     is static, so the values equal those of ``step`` applied step by step,
     and its per-step checks (rule-4 guard, hit-rate cap, conservation, pulse
-    norm) run once on whole arrays. A grid whose site tables (steps x ready
-    terms x sites x 8 B) would exceed MAX_SITE_TABLE_BYTES is refused before
-    anything grid-sized is made.
+    norm) run once on whole arrays.
     """
     if cfg.name not in _READY_TERMS:
         raise SimulationError(f"scenario {cfg.name!r} has no ramp backbone")
-    ramp_steps, tail_steps = _scenario_step_counts(cfg)
-    n_steps = ramp_steps + tail_steps
-    n_points = cfg.data["grid"]["n_points"]
-    table_bytes = 8 * n_steps * _READY_TERMS[cfg.name] * n_points
-    if table_bytes > MAX_SITE_TABLE_BYTES:
-        raise ConfigError(
-            f"grid.n_points = {n_points} over {n_steps} steps (scenario.dt = {cfg.dt}) needs "
-            f"{table_bytes / 2**30:.1f} GiB of site tables, over the {MAX_SITE_TABLE_BYTES >> 30} GiB limit"
-        )
+    n_steps = sum(_scenario_step_counts(cfg))
     state0, schedule = build_initial(cfg)
     if cfg.guard:
         pairs = rule4_pairs(state0, schedule)
@@ -421,18 +414,24 @@ def _flat_cell(cdf: np.ndarray, targets):
     return np.minimum(np.searchsorted(cdf, targets, side="right"), len(cdf) - 1)
 
 
+def _hit_steps(bb: Backbone, u1: np.ndarray) -> np.ndarray:
+    """Hit step of each first uniform against the cumulative budget,
+    len(cum_budget) for no hit. A complete transfer always hits: a draw past
+    the budget's end lands on the last step with mass."""
+    step_idx = np.searchsorted(bb.cum_budget, u1, side="right")
+    if bb.complete:
+        step_idx = np.minimum(step_idx, np.flatnonzero(bb.step_mass > 0)[-1])
+    return step_idx
+
+
 def place_hits(bb: Backbone, cdf: np.ndarray, total: np.ndarray, draws: np.ndarray) -> Placement:
     """Place each trial's hit: u1 = draws[:, 0] against the cumulative budget
     picks the step; u2 = draws[:, 1] against that step's site CDF picks the
     ready term and site.
     """
     C = bb.cum_budget
-    step_idx = np.searchsorted(C, draws[:, 0], side="right")
+    step_idx = _hit_steps(bb, draws[:, 0])
     hit = step_idx < len(C)
-    if bb.complete and not hit.all():
-        last_active = int(np.flatnonzero(bb.step_mass > 0)[-1])
-        step_idx = np.where(hit, step_idx, last_active)
-        hit = np.ones_like(hit)
 
     hit_ids = np.flatnonzero(hit)
     # group hits by step; the narrowest key dtype lets numpy radix-sort it
@@ -477,7 +476,18 @@ def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple
     draw), and each chunk is folded into the aggregates and dropped, so
     memory does not grow with the trial count. ``events_digest`` is a
     sha256 over per-trial records in trial order, whatever the chunk size.
+    A grid whose site tables (steps x ready terms x sites x 8 B) would exceed
+    MAX_SITE_TABLE_BYTES is refused before anything grid-sized is made.
     """
+    n_points = cfg.data["grid"]["n_points"]
+    ready_terms = _READY_TERMS.get(cfg.name, 0)  # 0: build_backbone refuses the scenario
+    n_steps = sum(_scenario_step_counts(cfg)) if ready_terms else 0
+    table_bytes = 8 * n_steps * ready_terms * n_points
+    if table_bytes > MAX_SITE_TABLE_BYTES:
+        raise ConfigError(
+            f"grid.n_points = {n_points} over {n_steps} steps (scenario.dt = {cfg.dt}) needs "
+            f"{table_bytes / 2**30:.1f} GiB of site tables, over the {MAX_SITE_TABLE_BYTES >> 30} GiB limit"
+        )
     bb = backbone if backbone is not None else build_backbone(cfg)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     ready = list(bb.ready_ids)
@@ -566,44 +576,52 @@ class TrajectoryOutcome:
     extras: Dict
 
 
-def simulate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> TrajectoryOutcome:
-    """Step one trial end to end, with reduction and formation on real states.
+def simulate_trajectory(
+    cfg: ScenarioConfig, trial: int = 0, backbone: Optional[Backbone] = None
+) -> TrajectoryOutcome:
+    """One trial end to end, with reduction and formation on real states.
 
-    The hit step is placed by drawing one uniform against the running budget
-    (identical law to the batch driver); a second uniform picks the site.
-    Scenario phases (formation, turn-off, disengage) run on the stepped
-    states themselves.
+    Before the hit only the envelope moves, so the log's rows up to the hit
+    step are read from the closed-form backbone (built here unless given),
+    and the first uniform picks the hit step by the batch rule,
+    ``_hit_steps``; a second uniform picks the site from that step's
+    ``site_cdfs`` row. From the hit on, ``step`` advances the real states
+    through formation and the turn-off or disengage phase.
     """
-    if cfg.name == "pulse_drift":
-        raise SimulationError("pulse_drift uses run_pulse_drift, not the ramp driver")
-    state, schedule = build_initial(cfg)
+    bb = backbone if backbone is not None else build_backbone(cfg)
     policy = _formation_policy(cfg)
     rng = RngStream(cfg.seed, trial)
     u1 = rng.uniform()
-    dt = cfg.dt
-    s = state.s
-    grid = state.grid
+    dt, s, schedule = bb.dt, bb.state0.s, bb.schedule
 
-    ramp_steps, tail_steps = _scenario_step_counts(cfg)
-    n_steps = ramp_steps + tail_steps
-    extra_steps = 0
+    n_steps = len(bb.step_mass)
     t_off = cfg.get("turn_off.t_off")
     t_dis = cfg.get("disengage.t_dis")
     if cfg.name == "turn_off":
-        extra_steps = int(round((t_off - cfg.data["envelope"]["t_end"]) / dt)) + 10
+        n_steps += int(round((t_off - cfg.data["envelope"]["t_end"]) / dt)) + 10
     elif cfg.name == "disengage":
-        extra_steps = (
+        n_steps += (
             int(round((t_dis - cfg.data["envelope"]["t_end"]) / dt))
             + cfg.data["disengage"]["hold_steps"]
         )
     elif cfg.name == "fade_in":
-        extra_steps = cfg.data["formation"]["settle_steps"]
-    n_steps += extra_steps
+        n_steps += cfg.data["formation"]["settle_steps"]
 
-    ready_ids, ready_amps = _hit_targets(state)
-    hold = EnvelopeSchedule.hold()
+    k = int(_hit_steps(bb, np.array([u1]))[0])
+    head = min(k + 2, len(bb.times))  # backbone rows, through the one the hit step ends on
+    norms = [t.brain.norm_sq() for t in bb.state0.terms]
+    # square moduli as Term.square_modulus takes them, currents as step reports them
+    sq_rows = [[abs(c) ** 2 * nrm for c, nrm in zip(row, norms)] for row in bb.coeffs[:head].tolist()]
+    cur_rows = [[0.0] * len(norms), *(np.diff(sq_rows, axis=0) / dt)]
+    times = bb.times[:head].tolist()
+    tot_rows = bb.total_sq[:head].tolist()
+    budget_rows = [0.0, *bb.cum_budget[: head - 1].tolist()]
+    state = bb.state0.with_terms(
+        [Term(t.apparatus_label, c, t.brain, t.phantom)
+         for t, c in zip(bb.state0.terms, bb.coeffs[head - 1].tolist())],
+        time=times[-1],
+    )
     active = schedule
-    budget = 0.0
     event: Optional[ReductionEvent] = None
     extras: Dict = {
         "occupied_counts": [],
@@ -613,63 +631,42 @@ def simulate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> TrajectoryOutcom
         "disengaged": False,
     }
 
-    times = [state.time]
-    sq_rows = [[t.square_modulus() for t in state.terms]]
-    cur_rows = [[0.0] * len(state.terms)]
-    tot_rows = [total_square_modulus(state)]
-    budget_rows = [0.0]
+    if k < len(bb.step_mass):
+        u2 = rng.uniform()
+        cdf, total = site_cdfs(
+            bb.coeffs[k : k + 2, list(bb.ready_ids)], bb.ready_amps, dt, s,
+            cfg.data["debug"]["bias_site_selection"],
+        )
+        if not total[0] > 0.0:
+            raise InvariantBreach("site-selection", "hit fired with no positive site current")
+        row, site = divmod(int(_flat_cell(cdf[0], u2 * total[0])), state.grid.n_points)
+        term_idx = bb.ready_ids[row]
+        pre = total_square_modulus(state)
+        state = reduce(state, term_idx, site)
+        event = ReductionEvent(
+            t_sc=state.time,
+            term_hit=term_idx,
+            u_sc=site,
+            pre_norm=pre,
+            post_coefficients={t.apparatus_label: t.coefficient for t in state.terms if t.coefficient != 0},
+            rng_draws=(u1, u2),
+            ramp_progress=schedule.envelope_factors(state.time)[1] / schedule.envelope_factors(1e30)[1],
+        )
+        if total_square_modulus(state) > pre + 1e-12:
+            raise InvariantBreach("reduction-bound", "post norm exceeded pre norm")
+        state = form_pulse(state, site, policy)
+        active = EnvelopeSchedule.hold()
+        pl = _live_pulse(state)
+        if pl is not None and pl.kind is PulseKind.CONSCIOUS:
+            extras["occupied_counts"].append(int(np.count_nonzero(pl.weights)))
+            extras["formation_stages"].append(pl.formation_stage)
+        # the hit step's row holds the formed state, with the currents that led to the hit
+        sq_rows[-1] = [t.square_modulus() for t in state.terms]
+        tot_rows[-1] = total_square_modulus(state)
 
-    for i in range(n_steps):
-        before = state
+    for _ in range(n_steps + 1 - len(times)):
         state, report = step(state, active, dt, guard=cfg.guard)
-        if event is None:
-            p = hit_probability(report, s, dt)
-            if p >= MAX_STEP_HIT_PROBABILITY:
-                raise HitRateTooHigh(f"per-step hit probability {p:.4f}; reduce dt")
-            new_budget = budget + p
-            forced = 1.0 - new_budget <= BUDGET_RESIDUAL_TOL and p > 0.0
-            if (budget <= u1 < new_budget) or (forced and u1 >= new_budget):
-                u2 = rng.uniform()
-                progress = (
-                    active.envelope_factors(state.time)[1] / schedule.envelope_factors(1e30)[1]
-                )
-                edges = np.array([[st.terms[n].coefficient for n in ready_ids] for st in (before, state)])
-                cdf, total = site_cdfs(
-                    edges, ready_amps, dt, s, cfg.data["debug"]["bias_site_selection"]
-                )
-                if not total[0] > 0.0:
-                    raise InvariantBreach("site-selection", "hit fired with no positive site current")
-                row, site = divmod(int(_flat_cell(cdf[0], u2 * total[0])), grid.n_points)
-                term_idx = ready_ids[row]
-                pre = total_square_modulus(state)
-                state = reduce(state, term_idx, site)
-                post = {
-                    t.apparatus_label: t.coefficient
-                    for t in state.terms
-                    if t.coefficient != 0
-                }
-                event = ReductionEvent(
-                    t_sc=state.time,
-                    term_hit=term_idx,
-                    u_sc=site,
-                    pre_norm=pre,
-                    post_coefficients=post,
-                    rng_draws=(u1, u2),
-                    ramp_progress=progress,
-                )
-                if total_square_modulus(state) > pre + 1e-12:
-                    raise InvariantBreach("reduction-bound", "post norm exceeded pre norm")
-                state = form_pulse(state, site, policy)
-                active = hold
-                for t in state.terms:
-                    if isinstance(t.brain, PulseFactor) and t.coefficient != 0:
-                        pl = t.brain.pulse
-                        if pl.kind is PulseKind.CONSCIOUS:
-                            extras["occupied_counts"].append(int(np.count_nonzero(pl.weights)))
-                            extras["formation_stages"].append(pl.formation_stage)
-                        break
-            budget = new_budget
-        else:
+        if event is not None:
             # post-hit phases
             if cfg.name == "turn_off" and not extras["turned_off"] and state.time >= t_off:
                 state = _zero_label(state, label=1)
@@ -683,22 +680,18 @@ def simulate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> TrajectoryOutcom
                 after = tuple(t.coefficient for t in state.terms)
                 extras["disengaged"] = True
                 extras["swap_identical"] = before == after
-            for t in state.terms:
-                if isinstance(t.brain, PulseFactor) and t.coefficient != 0:
-                    pl = t.brain.pulse
-                    extras["formation_norm_err"] = max(
-                        extras["formation_norm_err"], abs(pl.norm_sq() - 1.0)
-                    )
-                    if pl.kind is PulseKind.CONSCIOUS:
-                        extras["occupied_counts"].append(int(np.count_nonzero(pl.weights)))
-                        extras["formation_stages"].append(pl.formation_stage)
-                    break
+            pl = _live_pulse(state)
+            if pl is not None:
+                extras["formation_norm_err"] = max(extras["formation_norm_err"], abs(pl.norm_sq() - 1.0))
+                if pl.kind is PulseKind.CONSCIOUS:
+                    extras["occupied_counts"].append(int(np.count_nonzero(pl.weights)))
+                    extras["formation_stages"].append(pl.formation_stage)
 
         times.append(state.time)
         sq_rows.append([t.square_modulus() for t in state.terms])
         cur_rows.append(list(report.per_term))
         tot_rows.append(total_square_modulus(state))
-        budget_rows.append(budget)
+        budget_rows.append(budget_rows[-1])
 
     if cfg.name == "turn_off" and event is not None:
         labels = {}
@@ -718,6 +711,14 @@ def simulate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> TrajectoryOutcom
         labels=tuple(t.apparatus_label for t in state.terms),
     )
     return TrajectoryOutcome(state=state, log=log, event=event, extras=extras)
+
+
+def _live_pulse(state: SystemState) -> Optional[Pulse]:
+    """The pulse of the first term with a pulse factor and a nonzero coefficient, if any."""
+    return next(
+        (t.brain.pulse for t in state.terms if isinstance(t.brain, PulseFactor) and t.coefficient != 0),
+        None,
+    )
 
 
 def _zero_label(state: SystemState, label: int) -> SystemState:
@@ -959,8 +960,6 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
             site = int(np.argmax(masked))
             w = pulse.weights.copy()
             w[site] *= 1.0 + 1e-6
-            from .state import Pulse
-
             tampered = Pulse(
                 kind=pulse.kind,
                 grid=grid,
@@ -1049,11 +1048,7 @@ def run_fade_in(cfg: ScenarioConfig) -> ScenarioResult:
     radius = cfg.data["formation"]["neighbor_radius"]
     grid = _grid_of(cfg)
 
-    final_pulse = None
-    for t in out.state.terms:
-        if t.coefficient != 0 and isinstance(t.brain, PulseFactor):
-            final_pulse = t.brain.pulse
-            break
+    final_pulse = _live_pulse(out.state)
     sigma_fit = float("nan")
     if final_pulse is not None and out.event is not None:
         w2 = np.abs(final_pulse.weights) ** 2 * grid.spacing

@@ -21,6 +21,7 @@ fields are marked read-only so shared states cannot be mutated in place.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -194,6 +195,11 @@ class Pulse:
 
     def norm_sq(self) -> float:
         """Square modulus of the profile, sum |F|^2 du."""
+        return self._norm_sq
+
+    @functools.cached_property
+    def _norm_sq(self) -> float:
+        # summed once: the weights are a read-only copy made at construction
         return float(np.sum(np.abs(self.weights) ** 2) * self.grid.spacing)
 
     def site_amplitudes(self) -> np.ndarray:
@@ -296,7 +302,9 @@ class DisengagedX:
         return False
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.weights) ** 2) * self.grid.spacing)
+        return self._norm_sq
+
+    _norm_sq = Pulse._norm_sq  # the same once-per-instance sum over read-only weights
 
     def grid_of(self) -> Optional[BrainGrid]:
         return self.grid

@@ -4,6 +4,7 @@ All invocations go through cli.main(argv) in process; exit codes follow
 the contract 0 ok / 1 config / 2 invariant / 3 statistics.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -18,6 +19,15 @@ from pulsecollapse import cli, scenarios
 from pulsecollapse.analysis import compare, hit_histogram
 
 CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
+
+# sha256 of trajectory.csv + events.json + summary.json from `run` at each config's own seed
+GOLDEN_RUNS = {
+    "interaction.yaml": "914e26d4c51f71d5ef3f30e03df521f76a9b0f8b93838c1fabc69967fb0f65eb",
+    "observation_overlap.yaml": "83e3fb5fef51a61c869224a6f30e42bbb46e30fbda125ba1edc37c0861768fd4",
+    "turn_off_overlap.yaml": "5c76c676eaf895aff03d7ea15cdb2b286ead01e98a7115aec1644376a52afe4e",
+    "disengage.yaml": "ef80dfb106a1f77b23cb057f3aaf7bae1172d25519d46a4b57e4320e33b1b5fd",
+    "fade_in.yaml": "cc3d5036408031aa7ac581ffe0139a21a80688972490b833d76b31c4c8bfb525",
+}
 
 
 def cfg_path(name):
@@ -116,6 +126,13 @@ class TestRun:
         assert not (out / "trajectory.csv").exists()
         assert not (out / "events.json").exists()
         assert (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("name", GOLDEN_RUNS)
+    def test_golden_run_outputs(self, name, tmp_path):
+        """The run outputs for a config's own seed are pinned; any change to them must be deliberate."""
+        assert cli.main(["run", "--config", cfg_path(name), "--out", str(tmp_path)]) == 0
+        data = b"".join(read(tmp_path / f) for f in ("trajectory.csv", "events.json", "summary.json"))
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_RUNS[name]
 
     def test_drift_run_writes_trajectory(self, tmp_path):
         out = tmp_path / "r"

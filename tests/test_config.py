@@ -97,6 +97,12 @@ class TestValueChecks:
         with pytest.raises(ConfigError, match="t_end"):
             parse_config(minimal_interaction(envelope__t_end=-1.0))
 
+    @pytest.mark.parametrize("key", ["scenario__tail_steps", "formation__settle_steps"])
+    def test_step_counts_nonnegative(self, key):
+        """A negative count would cut the ramp short or leave the trajectory with no rows."""
+        with pytest.raises(ConfigError, match=key.replace("__", ".")):
+            parse_config(minimal_interaction(**{key: -1}))
+
     def test_staged_needs_positive_tau(self):
         bad = minimal_interaction(formation__mode="staged", formation__tau=0.0)
         with pytest.raises(ConfigError, match="tau"):

@@ -22,7 +22,13 @@ from pulsecollapse.errors import (
     Rule4Violation,
     SimulationError,
 )
-from pulsecollapse.reduction import RngStream, hit_probability
+from pulsecollapse.reduction import (
+    MAX_STEP_HIT_PROBABILITY,
+    ReductionEvent,
+    RngStream,
+    hit_probability,
+    reduce,
+)
 from pulsecollapse.scenarios import (
     build_backbone,
     build_initial,
@@ -34,7 +40,7 @@ from pulsecollapse.scenarios import (
     simulate_trajectory,
     site_cdfs,
 )
-from pulsecollapse.state import PulseFactor, Term, total_square_modulus
+from pulsecollapse.state import PulseFactor, PulseKind, Term, total_square_modulus
 from tests.conftest import bundled_config
 
 BATCH_CONFIGS = (
@@ -47,6 +53,16 @@ BATCH_CONFIGS = (
     "turn_off_disjoint.yaml",
 )
 BACKBONE_CONFIGS = BATCH_CONFIGS + ("disengage.yaml", "fade_in.yaml")
+TRAJECTORY_CONFIGS = (
+    "interaction.yaml",
+    "observation_overlap.yaml",
+    "turn_off_overlap.yaml",
+    "disengage.yaml",
+    "fade_in.yaml",
+)
+
+# large 31-bit seeds for the stepped-trajectory comparison
+LARGE_SEEDS = (2147483647, 2061012345, 1886280274, 1234567890, 987654321)
 
 # events_digest of each batch config at its own seed and 10^5 trials
 GOLDEN_DIGESTS = {
@@ -112,6 +128,103 @@ def stepped_backbone(cfg):
     }
 
 
+def stepped_trajectory(cfg, trial=0):
+    """One trial advanced by ``dynamics.step`` from t_start, with the hit budget summed step by step.
+
+    The hit fires in the step whose budget window holds u1 or, for a
+    completed transfer, at the first step that leaves at most 1e-12 of it.
+    """
+    state, schedule = build_initial(cfg)
+    policy = scenarios._formation_policy(cfg)
+    rng = RngStream(cfg.seed, trial)
+    u1 = rng.uniform()
+    dt, s, grid = cfg.dt, state.s, state.grid
+    n_steps = sum(scenarios._scenario_step_counts(cfg))
+    t_off = cfg.get("turn_off.t_off")
+    t_dis = cfg.get("disengage.t_dis")
+    if cfg.name == "turn_off":
+        n_steps += int(round((t_off - cfg.data["envelope"]["t_end"]) / dt)) + 10
+    elif cfg.name == "disengage":
+        n_steps += int(round((t_dis - cfg.data["envelope"]["t_end"]) / dt))
+        n_steps += cfg.data["disengage"]["hold_steps"]
+    elif cfg.name == "fade_in":
+        n_steps += cfg.data["formation"]["settle_steps"]
+
+    ready_ids, ready_amps = scenarios._hit_targets(state)
+    active, budget, event = schedule, 0.0, None
+    extras = {"occupied_counts": [], "formation_stages": [], "formation_norm_err": 0.0,
+              "turned_off": False, "disengaged": False}
+    times = [state.time]
+    sq_rows = [[t.square_modulus() for t in state.terms]]
+    cur_rows = [[0.0] * len(state.terms)]
+    tot_rows = [total_square_modulus(state)]
+    budget_rows = [0.0]
+
+    def live_pulse():
+        return next((t.brain.pulse for t in state.terms
+                     if isinstance(t.brain, PulseFactor) and t.coefficient != 0), None)
+
+    for _ in range(n_steps):
+        before = state
+        state, report = dynamics.step(state, active, dt, guard=cfg.guard)
+        if event is None:
+            p = hit_probability(report, s, dt)
+            assert p < MAX_STEP_HIT_PROBABILITY
+            new_budget = budget + p
+            forced = 1.0 - new_budget <= scenarios.BUDGET_RESIDUAL_TOL and p > 0.0
+            if (budget <= u1 < new_budget) or (forced and u1 >= new_budget):
+                u2 = rng.uniform()
+                progress = schedule.envelope_factors(state.time)[1] / schedule.envelope_factors(1e30)[1]
+                edges = np.array([[st.terms[n].coefficient for n in ready_ids] for st in (before, state)])
+                cdf, total = site_cdfs(edges, ready_amps, dt, s, cfg.data["debug"]["bias_site_selection"])
+                row, site = divmod(int(scenarios._flat_cell(cdf[0], u2 * total[0])), grid.n_points)
+                pre = total_square_modulus(state)
+                state = reduce(state, ready_ids[row], site)
+                post = {t.apparatus_label: t.coefficient for t in state.terms if t.coefficient != 0}
+                event = ReductionEvent(t_sc=state.time, term_hit=ready_ids[row], u_sc=site, pre_norm=pre,
+                                       post_coefficients=post, rng_draws=(u1, u2), ramp_progress=progress)
+                state = dynamics.form_pulse(state, site, policy)
+                active = dynamics.EnvelopeSchedule.hold()
+                pl = live_pulse()
+                if pl is not None and pl.kind is PulseKind.CONSCIOUS:
+                    extras["occupied_counts"].append(int(np.count_nonzero(pl.weights)))
+                    extras["formation_stages"].append(pl.formation_stage)
+            budget = new_budget
+        else:
+            if cfg.name == "turn_off" and not extras["turned_off"] and state.time >= t_off:
+                state = scenarios._zero_label(state, label=1)
+                extras["turned_off"] = True
+                extras["post_off_coefficients"] = {
+                    t.apparatus_label: t.coefficient for t in state.terms if t.coefficient != 0
+                }
+            if cfg.name == "disengage" and not extras["disengaged"] and state.time >= t_dis:
+                coeffs = tuple(t.coefficient for t in state.terms)
+                state = scenarios._swap_disengaged(state)
+                extras["disengaged"] = True
+                extras["swap_identical"] = coeffs == tuple(t.coefficient for t in state.terms)
+            pl = live_pulse()
+            if pl is not None:
+                extras["formation_norm_err"] = max(extras["formation_norm_err"], abs(pl.norm_sq() - 1.0))
+                if pl.kind is PulseKind.CONSCIOUS:
+                    extras["occupied_counts"].append(int(np.count_nonzero(pl.weights)))
+                    extras["formation_stages"].append(pl.formation_stage)
+        times.append(state.time)
+        sq_rows.append([t.square_modulus() for t in state.terms])
+        cur_rows.append(list(report.per_term))
+        tot_rows.append(total_square_modulus(state))
+        budget_rows.append(budget)
+
+    if cfg.name == "turn_off" and event is not None:
+        w = {lbl: abs(c) ** 2 for lbl, c in event.post_coefficients.items()}
+        w1, w2 = w.get(1, 0.0), w.get(2, 0.0)
+        u3 = rng.uniform()
+        extras["spot_remains"] = bool(u3 < (w2 / (w1 + w2))) if (w1 + w2) > 0 else False
+        extras["spot_draw"] = u3
+    log = {"times": times, "sq_terms": sq_rows, "currents": cur_rows,
+           "total_sq": tot_rows, "budget": budget_rows}
+    return {k: np.array(v) for k, v in log.items()}, event, extras
+
+
 class TestBackbone:
     def test_halted_budget_is_the_transferred_fraction(self, interaction_halted_cfg):
         """Cumulative budget ends exactly at fraction = 0.3."""
@@ -133,7 +246,7 @@ class TestBackbone:
         np.testing.assert_allclose(bb.total_sq, bb.total_sq[0], rtol=0, atol=1e-9)
 
     def test_oversized_grid_is_a_config_error(self, observation_overlap_cfg, monkeypatch):
-        """The site-table estimate trips before any grid-sized allocation."""
+        """run_batch's site-table estimate trips before any grid-sized allocation."""
         monkeypatch.setattr(scenarios, "MAX_SITE_TABLE_BYTES", 1 << 20)
         raw = {k: dict(v) for k, v in observation_overlap_cfg.raw.items()}
         raw["grid"]["n_points"] = 1 << 14
@@ -141,11 +254,20 @@ class TestBackbone:
         tracemalloc.start()
         try:
             with pytest.raises(ConfigError, match="grid.n_points"):
-                build_backbone(cfg)
+                run_batch(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 << 14  # one float array over the grid
+
+    def test_oversized_grid_still_runs_a_trajectory(self, observation_overlap_cfg, monkeypatch):
+        """The trajectory driver builds no site tables, so the limit does not apply to it."""
+        monkeypatch.setattr(scenarios, "MAX_SITE_TABLE_BYTES", 1 << 20)
+        raw = {k: dict(v) for k, v in observation_overlap_cfg.raw.items()}
+        raw["grid"]["n_points"] = 1 << 14
+        out = simulate_trajectory(parse_config(raw))
+        assert out.event is not None
+        assert out.log.sq_terms.shape[1] == 4
 
     def test_ready_terms_identified(self, observation_overlap_cfg):
         bb = build_backbone(observation_overlap_cfg)
@@ -390,6 +512,36 @@ class TestTrajectory:
         assert out.extras["turned_off"]
         assert "spot_remains" in out.extras
         assert isinstance(out.extras["spot_remains"], bool)
+
+    @pytest.mark.parametrize("name", BACKBONE_CONFIGS)
+    def test_equals_stepped_reference(self, name):
+        """Backbone prefix plus post-hit stepping gives the fully stepped trajectory bit for bit."""
+        cfg = bundled_config(name)
+        bb = build_backbone(cfg)
+        runs = [(cfg, trial) for trial in range(20)]
+        runs += [(cfg.with_overrides(seed=seed), 0) for seed in LARGE_SEEDS]
+        for c, trial in runs:
+            out = simulate_trajectory(c, trial=trial, backbone=bb if c is cfg else None)
+            log, event, extras = stepped_trajectory(c, trial)
+            for key, want in log.items():
+                assert np.array_equal(getattr(out.log, key), want), (c.seed, trial, key)
+            assert out.event == event, (c.seed, trial)
+            assert out.extras == extras, (c.seed, trial)
+
+    @pytest.mark.parametrize("name", TRAJECTORY_CONFIGS)
+    def test_steps_only_after_the_hit(self, name, monkeypatch):
+        """Rows up to the hit come from the backbone: step runs once per later row, never before the hit."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].time)
+            return dynamics.step(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "step", counted)
+        out = simulate_trajectory(bundled_config(name))
+        k = int(np.flatnonzero(out.log.times == out.event.t_sc)[0]) - 1
+        assert len(calls) == len(out.log.times) - 2 - k
+        assert min(calls) == out.event.t_sc
 
     def test_pulse_drift_rejected_by_ramp_driver(self):
         cfg = bundled_config("pulse_drift.yaml")

@@ -24,6 +24,7 @@ from pulsecollapse.errors import (
 from pulsecollapse.state import (
     BrainGrid,
     DisengagedX,
+    Pulse,
     PulseFactor,
     PulseKind,
     SingleState,
@@ -208,6 +209,39 @@ class TestSystemState:
         p = make_gaussian_pulse(GRID, 12.0, 0.8)
         with pytest.raises((ValueError, RuntimeError)):
             p.weights[0] = 1.0
+
+
+def _factors():
+    w = make_gaussian_pulse(GRID, 12.0, 0.8).weights * (1.0 + 0.5j)
+    return (
+        Pulse(kind=PulseKind.READY, grid=GRID, weights=w, center_index=int(np.argmax(np.abs(w)))),
+        DisengagedX(grid=GRID, weights=w),
+    )
+
+
+class TestCachedNorm:
+    """norm_sq sums |w|^2 once per instance; the read-only, copied weights make that safe."""
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["Pulse", "DisengagedX"])
+    def test_norm_is_summed_once(self, which, monkeypatch):
+        factor = _factors()[which]
+        want = float(np.sum(np.abs(factor.weights) ** 2) * GRID.spacing)
+        sums = []
+        real_sum = np.sum
+        monkeypatch.setattr(np, "sum", lambda *a, **k: sums.append(1) or real_sum(*a, **k))
+        norms = [factor.norm_sq() for _ in range(5)]
+        assert len(sums) == 1
+        assert norms == [want] * 5
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["Pulse", "DisengagedX"])
+    def test_weights_cannot_change_under_the_cache(self, which):
+        factor = _factors()[which]
+        with pytest.raises(ValueError):
+            factor.weights[0] = 1.0
+        src = np.array(factor.weights)
+        copy = type(factor)(**{**vars(factor), "weights": src})
+        src[:] = 0.0
+        assert copy.norm_sq() == factor.norm_sq()
 
 
 @given(
