@@ -455,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required: bool) -> None:
+    def common(p) -> None:
         p.add_argument("--config", required=False, help="scenario config file (YAML)")
         p.add_argument("--seed", type=int, default=None, help="override scenario.seed")
         p.add_argument("--trials", type=int, default=None, help="override scenario.trials")
@@ -478,15 +478,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-summary", action="store_true", help="skip summary.json")
 
     p_run = sub.add_parser("run", help="one trajectory with full artifacts")
-    common(p_run, config_required=True)
+    common(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_mc = sub.add_parser("montecarlo", help="batch trials against closed forms")
-    common(p_mc, config_required=True)
+    common(p_mc)
     p_mc.set_defaults(func=cmd_montecarlo)
 
     p_v = sub.add_parser("verify", help="invariant suite over bundled configs")
-    common(p_v, config_required=False)
+    common(p_v)
     p_v.set_defaults(func=cmd_verify)
 
     return parser

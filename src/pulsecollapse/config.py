@@ -218,7 +218,7 @@ class ScenarioConfig:
         return self.data["scenario"]["guard"]
 
     def with_overrides(self, **scalar_overrides) -> "ScenarioConfig":
-        """New config with scenario/formation scalars replaced.
+        """New config with scenario/formation scalars replaced, checked as a parsed one is.
 
         Recognized names: seed, trials, guard, formation_mode.
         """
@@ -242,6 +242,7 @@ class ScenarioConfig:
                 data["formation"]["mode"] = value
             else:
                 raise ConfigError(f"unknown override {name!r}")
+        _check_values(self.name, data)
         return ScenarioConfig(name=self.name, data=data, raw=self.raw)
 
 

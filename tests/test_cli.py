@@ -202,6 +202,13 @@ class TestExitCodes:
         assert cli.main(["montecarlo", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert "grid.n_points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, key", [("--seed", "-1", "scenario.seed"), ("--trials", "0", "scenario.trials")])
+    def test_out_of_range_override_exits_1_naming_it(self, flag, value, key, tmp_path, capsys):
+        """Overrides are checked as the config file's own values are."""
+        code = cli.main(["run", "--config", cfg_path("interaction.yaml"), flag, value, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert key in capsys.readouterr().err
+
     def test_missing_config_exits_1(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "no.yaml"), "--out", str(tmp_path / "o")]) == 1
 
@@ -293,6 +300,12 @@ class TestEnvOverrides:
         cli.main(["run", "--config", cfg_path("interaction.yaml"), "--seed", "7", "--out", str(out)])
         manifest = json.loads(read(out / "manifest.json"))
         assert manifest["seed"] == 7
+
+    def test_negative_env_seed_exits_1_naming_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PULSECOLLAPSE_SEED", "-1")
+        code = cli.main(["montecarlo", "--config", cfg_path("interaction.yaml"), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "scenario.seed" in capsys.readouterr().err
 
     def test_bad_env_value_exits_1(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PULSECOLLAPSE_TRIALS", "many")

@@ -9,7 +9,10 @@ suite at 10^5 trials.
 
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from pulsecollapse.config import parse_config
 from pulsecollapse.errors import (
     ConfigError,
     HitRateTooHigh,
+    InvariantBreach,
     Rule4Violation,
     SimulationError,
 )
@@ -73,6 +77,14 @@ GOLDEN_DIGESTS = {
     "observation_single.yaml": "f1e685adb2b9287cff8c13cbff350b54599ef67c62e7f17b6f78045a67236c30",
     "turn_off_overlap.yaml": "fa3af40d32a0e9073ae7f2303be80e43605b0dd5da49873fdbf624268d60f965",
     "turn_off_disjoint.yaml": "5197fa1c16cb6e4f0d19da594a17a399626d000d16bcc2c446e643c22772288d",
+}
+
+
+# complete budgets crowding one bucket of the hit-step table, with their refinement passes:
+# 39 values in the first bucket (and a repeated value); 5 in the last, three of them above 1
+DENSE_BUDGETS = {
+    "dense_first_bucket": (np.concatenate((np.linspace(0.0, 1e-4, 40), [0.3, 0.3, 1.0])), 39),
+    "dense_last_bucket": (np.array([0.5, 1 - 4e-16, 1 - 2e-16, 1.0, 1 + 2e-16, 1 + 4e-16]), 5),
 }
 
 
@@ -340,7 +352,7 @@ class TestBatch:
     def test_complete_transfer_reduces_every_trial(self, interaction_cfg):
         cfg = small(interaction_cfg)
         _, hits = placed(cfg)
-        assert hits.hit.all()
+        assert np.array_equal(hits.trial, np.arange(cfg.trials))
 
     def test_halted_transfer_hit_rate_near_fraction(self, interaction_halted_cfg):
         cfg = small(interaction_halted_cfg, trials=5000)
@@ -353,18 +365,17 @@ class TestBatch:
         cfg = small(interaction_cfg)
         bb, hits = placed(cfg)
         support = bb.ready_amps[0] > 0
-        assert np.all(support[hits.u_sc[hits.hit]])
+        assert np.all(support[hits.u_sc])
 
     def test_survivor_coefficients_match_recomputation(self, observation_overlap_cfg):
         """Stored coefficients are a_i(t_sc) * w_i(u_sc) to the last bit."""
         cfg = small(observation_overlap_cfg)
         bb, hits = placed(cfg)
-        idx = np.flatnonzero(hits.hit)[:200]
-        for i in idx:
-            row = min(hits.step_index[i] + 1, len(bb.times) - 1)
+        for j, i in enumerate(hits.trial[:200]):
+            row = hits.step_index[i] + 1
             for col, term in enumerate(bb.ready_ids):
-                want = bb.coeffs[row, term] * bb.ready_amps[col, hits.u_sc[i]]
-                assert hits.survivor_coeffs[i, col] == want
+                want = bb.coeffs[row, term] * bb.ready_amps[col, hits.u_sc[j]]
+                assert hits.survivor_coeffs[j, col] == want
 
     def test_provenance_gate_catches_shifted_coefficients(self, observation_overlap_cfg):
         """Survivors built from coefficient rows one step off fail the 1e-12 provenance check."""
@@ -391,7 +402,7 @@ class TestBatch:
         bb, hits = placed(cfg)
         assert bb.ready_ids == (1,)
         support = bb.ready_amps[0] > 0
-        assert hits.hit.all()
+        assert len(hits.trial) == cfg.trials
         assert set(hits.term_hit) == {1}
         assert np.all(support[hits.u_sc])
         for trial in range(16):
@@ -402,13 +413,13 @@ class TestBatch:
     def test_post_norm_never_exceeds_pre(self, observation_overlap_cfg):
         cfg = small(observation_overlap_cfg)
         _, hits = placed(cfg)
-        post = (np.abs(hits.survivor_coeffs[hits.hit]) ** 2).sum(axis=1)
-        assert np.all(post <= hits.pre_norm[hits.hit] + 1e-12)
+        post = (np.abs(hits.survivor_coeffs) ** 2).sum(axis=1)
+        assert np.all(post <= hits.pre_norm + 1e-12)
 
     def test_disjoint_multiplicity_is_always_one(self, observation_disjoint_cfg):
         cfg = small(observation_disjoint_cfg)
         _, hits = placed(cfg)
-        assert set((np.abs(hits.survivor_coeffs[hits.hit]) > 0).sum(axis=1)) == {1}
+        assert set((np.abs(hits.survivor_coeffs) > 0).sum(axis=1)) == {1}
         _, batch = run_batch(cfg)
         assert batch.multiplicity_counts == {1: cfg.trials}
 
@@ -437,6 +448,90 @@ class TestBatch:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
 
+    @pytest.mark.parametrize("name", BATCH_CONFIGS + tuple(DENSE_BUDGETS))
+    def test_hit_step_table_equals_searchsorted(self, name):
+        """The bucket lookup is searchsorted(cum_budget, u1, side="right") with the
+        complete transfer's clamp, at every budget value, bucket edge and end point."""
+        if name in DENSE_BUDGETS:
+            C, passes = DENSE_BUDGETS[name]
+            mass = np.diff(C, prepend=0.0)
+            bb = SimpleNamespace(cum_budget=C, step_mass=mass, complete=True,
+                                 hit_table=scenarios._hit_step_table(C, mass))
+            assert bb.hit_table.passes == passes
+        else:
+            bb = build_backbone(bundled_config(name))
+            C = bb.cum_budget
+        values = np.unique(C)
+        u1 = np.concatenate((
+            values,
+            np.nextafter(values, 0.0),
+            np.nextafter(values, 1.0),
+            np.arange(scenarios.HIT_STEP_BUCKETS) / scenarios.HIT_STEP_BUCKETS,
+            [0.0, np.nextafter(1.0, 0.0)],
+        ))
+        want = np.searchsorted(C, u1, side="right")
+        if bb.complete:
+            want = np.minimum(want, np.flatnonzero(bb.step_mass > 0)[-1])
+        assert np.array_equal(scenarios._hit_steps(bb, u1), want)
+
+    @pytest.mark.parametrize("biased", [False, True])
+    @pytest.mark.parametrize("name", BATCH_CONFIGS)
+    def test_bracket_midpoints_map_to_their_cell(self, name, biased):
+        """A draw at the midpoint of each (step, cell) bracket with mass is placed at that
+        step, term and site. Brackets a few ulps wide, where no midpoint draw survives
+        the rounding of u2 * total, are left out."""
+        bb = build_backbone(bundled_config(name))
+        cdf, total = cdfs(bb, biased)
+        n_sites = bb.ready_amps.shape[1]
+        lower = np.concatenate(([0.0], bb.cum_budget[:-1]))
+        rows, want = [], []
+        for i in np.flatnonzero(bb.cum_budget > lower):
+            edges = np.concatenate(([0.0], cdf[i]))
+            cells = np.flatnonzero(edges[1:] > edges[:-1])
+            u2 = 0.5 * (edges[cells] + edges[cells + 1]) / total[i]
+            inside = (edges[cells] <= u2 * total[i]) & (u2 * total[i] < edges[cells + 1])
+            width = edges[cells + 1] - edges[cells]
+            assert np.all(width[~inside] <= 4 * np.spacing(edges[cells + 1][~inside]))
+            cells, u2 = cells[inside], u2[inside]
+            rows.append(np.column_stack((np.full(len(cells), 0.5 * (lower[i] + bb.cum_budget[i])), u2, u2)))
+            want.append(np.column_stack((np.full(len(cells), i), cells // n_sites, cells % n_sites)))
+        # trial order differs from step order
+        shuffle = np.random.default_rng(0).permutation(sum(map(len, rows)))
+        draws, want = np.concatenate(rows)[shuffle], np.concatenate(want)[shuffle]
+        hits = place_hits(bb, cdf, total, draws)
+        assert np.array_equal(hits.trial, np.arange(len(draws)))
+        assert np.array_equal(hits.step_index, want[:, 0])
+        assert np.array_equal(hits.t_sc, bb.times[want[:, 0] + 1])
+        assert np.array_equal(hits.term_hit, np.asarray(bb.ready_ids)[want[:, 1]])
+        assert np.array_equal(hits.u_sc, want[:, 2])
+
+    def test_digest_holds_under_fast_thread_switching(self, monkeypatch):
+        """Many small chunks hashed on the helper thread while the interpreter switches
+        threads every 10 us give the pinned digest."""
+        monkeypatch.setattr(scenarios, "CHUNK_TRIALS", 1000)
+        cfg = bundled_config("observation_overlap.yaml").with_overrides(trials=100_000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _, batch = run_batch(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert batch.events_digest == GOLDEN_DIGESTS["observation_overlap.yaml"]
+
+    def test_breach_stops_the_digest_thread(self, observation_overlap_cfg, monkeypatch):
+        """A run that breaches an invariant with chunks left to place raises it and
+        leaves no helper thread behind, as a run that completes does."""
+        monkeypatch.setattr(scenarios, "CHUNK_TRIALS", 997)
+        cfg = small(observation_overlap_cfg, trials=5000)
+        bb = build_backbone(cfg)
+        before = threading.active_count()
+        run_batch(cfg, backbone=bb)
+        assert threading.active_count() == before
+        emptied = dataclasses.replace(bb, total_sq=np.zeros_like(bb.total_sq))
+        with pytest.raises(InvariantBreach, match="reduction-bound"):
+            run_batch(cfg, backbone=emptied)
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("name", BATCH_CONFIGS)
     def test_batch_kernel_matches_trajectories(self, name):
         """Fed a trajectory's (u1, u2), the batch kernel hits the same step, term and site."""
@@ -449,7 +544,7 @@ class TestBatch:
             ev = out.event
             u1, u2 = ev.rng_draws if ev else (RngStream(cfg.seed, trial).uniform(), 0.5)
             hits = place_hits(bb, cdf, total, np.array([[u1, u2, 0.5]]))
-            assert hits.hit[0] == (ev is not None)
+            assert len(hits.trial) == (ev is not None)
             if ev is None:
                 continue
             assert hits.t_sc[0] == ev.t_sc
