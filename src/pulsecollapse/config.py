@@ -9,6 +9,7 @@ than extensions).
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Any, Dict
 
@@ -302,6 +303,10 @@ def parse_config(mapping: Dict[str, Any]) -> ScenarioConfig:
 
 
 def _check_values(name: str, data: Dict[str, Dict[str, Any]]) -> None:
+    for section, values in data.items():
+        for key, value in values.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{section}.{key} must be finite, got {value}")
     sc = data["scenario"]
     if sc["dt"] <= 0:
         raise ConfigError(f"scenario.dt must be positive, got {sc['dt']}")
@@ -337,6 +342,8 @@ def _check_values(name: str, data: Dict[str, Dict[str, Any]]) -> None:
             raise ConfigError(
                 f"formation.mode must be instant or staged, got {form['mode']!r}"
             )
+        if form["target_sigma"] <= 0:
+            raise ConfigError(f"formation.target_sigma must be positive, got {form['target_sigma']}")
         if form["mode"] == "staged" and form["tau"] <= 0:
             raise ConfigError("formation.tau must be positive for staged mode")
     var = data.get("variant")
@@ -362,10 +369,16 @@ def _check_values(name: str, data: Dict[str, Dict[str, Any]]) -> None:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Parse and validate a YAML config file."""
+    """Parse and validate a YAML config file.
+
+    Parsing uses libyaml (``yaml.CSafeLoader``) where PyYAML was built with
+    it, and the pure-Python ``yaml.SafeLoader`` otherwise; both share the
+    safe constructor and resolver, so they give the same mapping.
+    """
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            mapping = yaml.safe_load(fh)
+            mapping = yaml.load(fh, Loader=loader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:

@@ -4,7 +4,10 @@ Envelope schedules move square modulus between terms in closed form (exact
 norm conservation, no accumulated integration error); ``step`` advances a
 state by dt and reports the probability currents the reduction engine
 consumes. Pulse formation after a hit and conscious-pulse drift with a ready
-shadow live here too.
+shadow live here too. Drift runs on plain arrays in ``DriftKernel``, with
+its loop invariants computed once; ``drift_pulse`` is one kernel step on a
+state, and ``drifted_state`` rebuilds a state from the kernel's arrays
+through the validating constructors.
 
 Currents are finite differences of square moduli over the step, so the
 per-term entries always telescope to the envelope's total transfer and the
@@ -17,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .state import (
     Term,
     make_gaussian_pulse,
     delta_pulse,
+    profile_norm_sq,
 )
 
 __all__ = [
@@ -54,7 +58,9 @@ __all__ = [
     "rule4_pairs",
     "step",
     "form_pulse",
+    "DriftKernel",
     "drift_pulse",
+    "drifted_state",
     "relative_intensity",
 ]
 
@@ -475,11 +481,95 @@ def form_pulse(state: SystemState, chosen: int, policy: FormationPolicy) -> Syst
     return state.with_terms(new_terms)
 
 
-def _resample_shifted(weights: np.ndarray, grid: BrainGrid, shift: float) -> np.ndarray:
-    u = grid.sites
-    re = np.interp(u - shift, u, weights.real, left=0.0, right=0.0)
-    im = np.interp(u - shift, u, weights.imag, left=0.0, right=0.0)
-    return re + 1j * im
+@dataclass(frozen=True)
+class DriftKernel:
+    """One drift step on plain arrays, with the loop invariants computed once.
+
+    ``step`` takes and returns the conscious weights and coefficient, the
+    shadow weights and coefficient, and the shadow's ``fed`` and ``phantom``
+    masks. Without shedding (``decay`` is None) the shadow values pass
+    through untouched. ``drift_pulse`` is one step of it on a state; a drift
+    run loops over it and builds states only at the end.
+    """
+
+    sources: np.ndarray  # u - v*dt: where each site's new amplitude is read from
+    sites: np.ndarray
+    du: float
+    sqrt_du: float
+    dt: float
+    decay: Optional[float]  # conscious square modulus kept per step; None without shedding
+
+    @classmethod
+    def of(cls, grid: BrainGrid, velocity: float, dt: float, shed_rate: float = 0.0) -> "DriftKernel":
+        du = grid.spacing
+        u = grid.sites
+        decay = math.exp(-shed_rate * abs(velocity) * dt / du) if shed_rate > 0.0 else None
+        return cls(u - velocity * dt, u, du, math.sqrt(du), dt, decay)
+
+    def step(self, cons_w, cons_c, shadow_w, shadow_c, fed, phantom):
+        """Advance the arrays by one step; see ``drift_pulse`` for the law."""
+        re = np.interp(self.sources, self.sites, cons_w.real, left=0.0, right=0.0)
+        im = np.interp(self.sources, self.sites, cons_w.imag, left=0.0, right=0.0)
+        shifted = re + 1j * im
+        nrm = math.sqrt(profile_norm_sq(shifted, self.du))
+        if nrm == 0.0:
+            raise SimulationError("conscious pulse drifted entirely off the grid")
+        shifted = shifted / nrm
+        if self.decay is None:
+            return shifted, cons_c, shadow_w, shadow_c, fed, phantom
+
+        shed = abs(cons_c) ** 2 * (1.0 - self.decay)
+        share = np.abs(shifted * self.sqrt_du) ** 2
+        share[phantom] = 0.0
+        share_total = float(share.sum())
+        incoming = np.zeros(len(share))
+        shadow_masses = np.abs(shadow_c) ** 2 * np.abs(shadow_w * self.sqrt_du) ** 2
+        if share_total > 0.0:
+            share = share / share_total
+            incoming = shed * share / self.dt
+            shadow_masses = shadow_masses + shed * share
+            cons_c = cons_c * math.sqrt(self.decay)
+
+        newly_phantom = fed & ~phantom & (incoming < PHANTOM_CURRENT_FLOOR)
+        fed = fed | (incoming >= PHANTOM_CURRENT_FLOOR)
+        phantom = phantom | newly_phantom
+
+        total_mass = float(shadow_masses.sum())
+        if total_mass > 0.0:
+            amps = np.sqrt(shadow_masses / total_mass)
+            shadow_w = (amps / self.sqrt_du).astype(np.complex128)
+            shadow_c = math.sqrt(total_mass)
+        return shifted, cons_c, shadow_w, shadow_c, fed, phantom
+
+
+def _pulse_term(term: Term, kind: PulseKind, weights, coefficient, **masks) -> Term:
+    """``term`` with a new pulse of ``kind``, peak site taken from the weights."""
+    pulse = Pulse(
+        kind=kind,
+        grid=term.brain.pulse.grid,
+        weights=weights,
+        center_index=int(np.argmax(np.abs(weights))),
+        **masks,
+    )
+    return Term(
+        apparatus_label=term.apparatus_label,
+        coefficient=coefficient,
+        brain=PulseFactor(pulse=pulse, observer_id=term.brain.observer_id),
+        phantom=term.phantom,
+    )
+
+
+def drifted_state(state: SystemState, ci: int, si: Optional[int], arrays, time: float) -> SystemState:
+    """``state`` with its conscious term ``ci`` and shadow term ``si`` (None: untouched)
+    rebuilt from ``DriftKernel.step`` arrays, through the validating constructors."""
+    cons_w, cons_c, shadow_w, shadow_c, fed, phantom = arrays
+    terms = list(state.terms)
+    terms[ci] = _pulse_term(terms[ci], PulseKind.CONSCIOUS, cons_w, cons_c)
+    if si is not None:
+        terms[si] = _pulse_term(
+            terms[si], PulseKind.READY, shadow_w, shadow_c, phantom_sites=phantom, fed_sites=fed
+        )
+    return state.with_terms(terms, time=time)
 
 
 def drift_pulse(
@@ -499,7 +589,8 @@ def drift_pulse(
     A shadow site that has been fed and then receives less than 1e-12
     current for a full step is flagged phantom and frozen.
 
-    velocity = 0 returns the state unchanged.
+    One ``DriftKernel`` step on the state's arrays. velocity = 0 returns the
+    state unchanged.
     """
     if not dt > 0:
         raise SimulationError(f"dt must be positive, got {dt}")
@@ -518,23 +609,7 @@ def drift_pulse(
     if cons_term.brain.pulse.forming is not None:
         raise SimulationError("drift requires a fully formed conscious pulse")
 
-    grid = state.grid
-    du = grid.spacing
-    shifted = _resample_shifted(cons_term.brain.pulse.weights, grid, velocity * dt)
-    nrm = math.sqrt(float(np.sum(np.abs(shifted) ** 2)) * du)
-    if nrm == 0.0:
-        raise SimulationError("conscious pulse drifted entirely off the grid")
-    shifted = shifted / nrm
-    new_cons_pulse = Pulse(
-        kind=PulseKind.CONSCIOUS,
-        grid=grid,
-        weights=shifted,
-        center_index=int(np.argmax(np.abs(shifted))),
-    )
-
-    new_terms = list(state.terms)
-    new_coeff = cons_term.coefficient
-
+    si, shadow = None, (None, None, None, None)
     if shadow_ready and shed_rate > 0.0:
         shadow_idx = [
             n
@@ -549,78 +624,16 @@ def drift_pulse(
                 f"shadow drift needs exactly one ready-pulse term, found {len(shadow_idx)}"
             )
         si = shadow_idx[0]
-        shadow_term = state.terms[si]
-        shadow_pulse = shadow_term.brain.pulse
+        pulse = state.terms[si].brain.pulse
+        masks = [
+            m if m is not None else np.zeros(state.grid.n_points, dtype=bool)
+            for m in (pulse.fed_sites, pulse.phantom_sites)
+        ]
+        shadow = (pulse.weights, state.terms[si].coefficient, *masks)
 
-        phantom = (
-            shadow_pulse.phantom_sites
-            if shadow_pulse.phantom_sites is not None
-            else np.zeros(grid.n_points, dtype=bool)
-        )
-        fed = (
-            shadow_pulse.fed_sites
-            if shadow_pulse.fed_sites is not None
-            else np.zeros(grid.n_points, dtype=bool)
-        )
-
-        decay = math.exp(-shed_rate * abs(velocity) * dt / du)
-        a_sq = abs(cons_term.coefficient) ** 2
-        shed = a_sq * (1.0 - decay)
-
-        share = np.abs(new_cons_pulse.site_amplitudes()) ** 2
-        share[phantom] = 0.0
-        share_total = float(share.sum())
-        incoming = np.zeros(grid.n_points)
-        shadow_masses = (
-            np.abs(shadow_term.coefficient) ** 2
-            * np.abs(shadow_pulse.site_amplitudes()) ** 2
-        )
-        if share_total > 0.0:
-            share = share / share_total
-            incoming = shed * share / dt
-            shadow_masses = shadow_masses + shed * share
-            new_coeff = cons_term.coefficient * math.sqrt(decay)
-
-        newly_phantom = fed & ~phantom & (incoming < PHANTOM_CURRENT_FLOOR)
-        fed = fed | (incoming >= PHANTOM_CURRENT_FLOOR)
-        phantom = phantom | newly_phantom
-
-        total_mass = float(shadow_masses.sum())
-        if total_mass > 0.0:
-            amps = np.sqrt(shadow_masses / total_mass)
-            new_shadow_pulse = Pulse(
-                kind=PulseKind.READY,
-                grid=grid,
-                weights=amps / math.sqrt(du),
-                center_index=int(np.argmax(amps)),
-                phantom_sites=phantom,
-                fed_sites=fed,
-            )
-            shadow_coeff = math.sqrt(total_mass)
-        else:
-            new_shadow_pulse = Pulse(
-                kind=PulseKind.READY,
-                grid=grid,
-                weights=shadow_pulse.weights,
-                center_index=shadow_pulse.center_index,
-                phantom_sites=phantom,
-                fed_sites=fed,
-            )
-            shadow_coeff = shadow_term.coefficient
-        new_terms[si] = Term(
-            apparatus_label=shadow_term.apparatus_label,
-            coefficient=shadow_coeff,
-            brain=PulseFactor(pulse=new_shadow_pulse, observer_id=shadow_term.brain.observer_id),
-            phantom=shadow_term.phantom,
-        )
-
-    new_terms[ci] = Term(
-        apparatus_label=cons_term.apparatus_label,
-        coefficient=new_coeff,
-        brain=PulseFactor(pulse=new_cons_pulse, observer_id=cons_term.brain.observer_id),
-        phantom=cons_term.phantom,
-    )
-    return state.with_terms(new_terms, time=state.time + dt)
+    kernel = DriftKernel.of(state.grid, velocity, dt, shed_rate if si is not None else 0.0)
+    arrays = kernel.step(cons_term.brain.pulse.weights, cons_term.coefficient, *shadow)
+    return drifted_state(state, ci, si, arrays, state.time + dt)
 
 
 def relative_intensity(pulse: Pulse, lo: int, hi: int) -> float:

@@ -23,6 +23,13 @@ and disengage phases).
 
 A residual budget below 1e-12 at the end of a completed transfer counts as
 certain (float telescoping can leave ~1e-15 behind).
+
+``run_pulse_drift`` has no hit. It loops ``dynamics.DriftKernel`` over plain
+arrays, audits phantom freeze and conservation on them each step, and
+builds the final state once. Its two negative controls are named hooks
+outside the kernel: ``_tamper_phantom`` moves one frozen amplitude, and
+``_ready_transfer_injection`` schedules a ready-to-ready ramp that is
+stepped beside the drift.
 """
 
 from __future__ import annotations
@@ -37,9 +44,10 @@ import numpy as np
 from . import analysis
 from .config import ScenarioConfig
 from .dynamics import (
+    DriftKernel,
     EnvelopeSchedule,
     FormationPolicy,
-    drift_pulse,
+    drifted_state,
     form_pulse,
     rule4_pairs,
     step,
@@ -67,6 +75,7 @@ from .state import (
     SystemState,
     Term,
     make_gaussian_pulse,
+    profile_norm_sq,
     total_square_modulus,
 )
 
@@ -461,8 +470,13 @@ def site_cdfs(
 
 
 def _flat_cell(cdf: np.ndarray, targets):
-    """Flat (ready term, site) cell whose CDF bracket holds each target."""
-    return np.minimum(np.searchsorted(cdf, targets, side="right"), len(cdf) - 1)
+    """Flat (ready term, site) cell whose CDF bracket holds each target.
+
+    ``total`` is a pairwise sum and ``cdf[-1]`` a running one, so u2 * total
+    can land at or past ``cdf[-1]``; such a target takes the last cell with
+    mass, the first to reach ``cdf[-1]``.
+    """
+    return np.minimum(np.searchsorted(cdf, targets, side="right"), np.searchsorted(cdf, cdf[-1]))
 
 
 def _hit_steps(bb: Backbone, u1: np.ndarray) -> np.ndarray:
@@ -496,7 +510,10 @@ def place_hits(bb: Backbone, cdf: np.ndarray, total: np.ndarray, draws: np.ndarr
         if hi > lo:
             if total[i] <= 0.0:
                 raise InvariantBreach("site-selection", f"no positive site current at step {i}")
-            cells[lo:hi] = _flat_cell(cdf[i], target[lo:hi])
+            cells[lo:hi] = np.searchsorted(cdf[i], target[lo:hi], side="right")
+    # the rare target at or past its step's cdf[-1] is clamped as _flat_cell does
+    for j in np.flatnonzero(cells == cdf.shape[1]).tolist():
+        cells[j] = _flat_cell(cdf[by_step[j]], target[j])
     flat = np.empty_like(cells)
     flat[order] = cells
     rows, sites = np.divmod(flat, bb.ready_amps.shape[1])
@@ -977,108 +994,117 @@ def run_disengage(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
+def _ready_transfer_injection(state: SystemState, dt: float, duration: float):
+    """Negative control: two empty ready single states of the drift's observer,
+    appended after its terms, with a ramp scheduled from one to the other.
+
+    Returns the hook's own state and schedule. Only the injected terms move;
+    the drift's terms stand in at their initial values so that the rule-4
+    pair names the same term indices as in the drift state.
+    """
+    extras = (
+        Term(apparatus_label=3, coefficient=0j, brain=SingleState(kind=PulseKind.READY, index=1)),
+        Term(apparatus_label=4, coefficient=0j, brain=SingleState(kind=PulseKind.READY, index=2)),
+    )
+    hook = state.with_terms(tuple(state.terms) + extras)
+    n = len(hook.terms)
+    schedule = EnvelopeSchedule.trig(
+        hook, [(n - 2, (n - 1,))], t_start=0.0, t_end=max(duration, 100 * dt)
+    )
+    return hook, schedule
+
+
+def _tamper_phantom(weights: np.ndarray, phantom: np.ndarray) -> np.ndarray:
+    """Negative control: the shadow weights with the largest phantom weight
+    scaled by 1 + 1e-6, which the phantom-freeze audit must catch."""
+    site = int(np.argmax(np.where(phantom, np.abs(weights), -1.0)))
+    w = weights.copy()
+    w[site] *= 1.0 + 1e-6
+    return w
+
+
 def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
     """Conscious pulse drifting across the grid, shedding into a ready shadow.
 
-    Trailing shadow sites freeze into phantoms; their amplitudes must stay
-    constant to the last bit modulo renormalization rounding (audited at
-    1e-12). With the guard off and an injected ready-to-ready transfer the
-    violation is surfaced after the run and the run aborted.
+    Runs ``DriftKernel`` on plain arrays and builds the state only at the
+    end. Trailing shadow sites freeze into phantoms; their amplitudes must
+    stay constant to the last bit modulo renormalization rounding (audited
+    at 1e-12). Two negative controls hook into the loop: ``tamper_phantom``
+    moves one frozen amplitude at step 3/5 of the run, and
+    ``intra_ready_transfer`` steps an injected ready-to-ready ramp before
+    each drift step; with the guard off the violation is surfaced after
+    the run and the run aborted.
     """
     state, _ = build_initial(cfg)
     dr = cfg.data["drift"]
     dt = cfg.dt
     n_steps = int(round(dr["duration"] / dt))
-    grid = state.grid
+    velocity = dr["velocity"]
+    shedding = dr["shadow"] and dr["shed_rate"] > 0.0
+    kernel = DriftKernel.of(state.grid, velocity, dt, dr["shed_rate"] if shedding else 0.0)
+    cons, shadow = state.terms
+    n_points = state.grid.n_points
+    arrays = (
+        cons.brain.pulse.weights,
+        cons.coefficient,
+        shadow.brain.pulse.weights,
+        shadow.coefficient,
+        np.zeros(n_points, dtype=bool),
+        np.zeros(n_points, dtype=bool),
+    )
 
-    injected = None
+    hook = None
     if cfg.data["debug"]["intra_ready_transfer"]:
-        extra1 = Term(
-            apparatus_label=3,
-            coefficient=0j,
-            brain=SingleState(kind=PulseKind.READY, index=1),
-        )
-        extra2 = Term(
-            apparatus_label=4,
-            coefficient=0j,
-            brain=SingleState(kind=PulseKind.READY, index=2),
-        )
-        state = state.with_terms(tuple(state.terms) + (extra1, extra2))
-        n_extra = len(state.terms)
-        injected = EnvelopeSchedule.trig(
-            state,
-            [(n_extra - 2, (n_extra - 1,))],
-            t_start=0.0,
-            t_end=max(dr["duration"], 100 * dt),
-        )
-
+        hook, injected = _ready_transfer_injection(state, dt, dr["duration"])
     tamper_step = n_steps * 3 // 5 if cfg.data["debug"]["tamper_phantom"] else -1
-    frozen_amps: Dict[int, float] = {}
+
+    frozen = np.zeros(n_points)
+    has_frozen = np.zeros(n_points, dtype=bool)
     max_phantom_drift = 0.0
+    sqrt_du = kernel.sqrt_du
+    du = kernel.du
+    t = state.time
     total0 = total_square_modulus(state)
     max_cons = 0.0
-    shadow_idx = 1
 
-    times = [state.time]
-    sq_rows = [[t.square_modulus() for t in state.terms]]
-    cur_rows = [[0.0] * len(state.terms)]
+    times = [t]
+    sq_rows = [[cons.square_modulus(), shadow.square_modulus()]]
+    cur_rows = [[0.0, 0.0]]
     tot_rows = [total0]
 
     for i in range(n_steps):
-        if injected is not None:
-            state, _report = step(state, injected, dt, guard=cfg.guard)
-            state = state.with_terms(state.terms, time=state.time - dt)
-        state = drift_pulse(
-            state,
-            velocity=dr["velocity"],
-            dt=dt,
-            shadow_ready=dr["shadow"],
-            shed_rate=dr["shed_rate"],
-        )
-        shadow = state.terms[shadow_idx]
-        pulse = shadow.brain.pulse
-        if i == tamper_step and pulse.phantom_sites is not None and pulse.phantom_sites.any():
-            masked = np.where(pulse.phantom_sites, np.abs(pulse.weights), -1.0)
-            site = int(np.argmax(masked))
-            w = pulse.weights.copy()
-            w[site] *= 1.0 + 1e-6
-            tampered = Pulse(
-                kind=pulse.kind,
-                grid=grid,
-                weights=w,
-                center_index=int(np.argmax(np.abs(w))),
-                phantom_sites=pulse.phantom_sites,
-                fed_sites=pulse.fed_sites,
-            )
-            terms = list(state.terms)
-            terms[shadow_idx] = Term(
-                shadow.apparatus_label,
-                shadow.coefficient,
-                PulseFactor(tampered, shadow.brain.observer_id),
-                shadow.phantom,
-            )
-            state = state.with_terms(terms)
-            shadow = state.terms[shadow_idx]
-            pulse = shadow.brain.pulse
-        if pulse.phantom_sites is not None:
-            amps = np.abs(shadow.coefficient) * np.abs(pulse.site_amplitudes())
-            for site in np.flatnonzero(pulse.phantom_sites):
-                site = int(site)
-                if site in frozen_amps:
-                    max_phantom_drift = max(
-                        max_phantom_drift, abs(amps[site] - frozen_amps[site])
-                    )
-                else:
-                    frozen_amps[site] = float(amps[site])
-        max_cons = max(max_cons, abs(total_square_modulus(state) - total0))
-        sq_now = [t.square_modulus() for t in state.terms]
+        if hook is not None:
+            hook, _report = step(hook, injected, dt, guard=cfg.guard)
+        if velocity != 0.0:
+            arrays = kernel.step(*arrays)
+            t = t + dt
+        cons_w, cons_c, shadow_w, shadow_c, fed, phantom = arrays
+        if i == tamper_step and phantom.any():
+            shadow_w = _tamper_phantom(shadow_w, phantom)
+            arrays = (cons_w, cons_c, shadow_w, shadow_c, fed, phantom)
+        if phantom.any():
+            amps = np.abs(shadow_c) * np.abs(shadow_w * sqrt_du)
+            seen = phantom & has_frozen
+            moved = np.abs(amps[seen] - frozen[seen])
+            # fmax passes over a NaN difference, as max() over the sites one by one did
+            max_phantom_drift = np.fmax.reduce(moved, initial=max_phantom_drift)
+            new = phantom & ~has_frozen
+            frozen[new] = amps[new]
+            has_frozen |= new
+        # Term.square_modulus of each pulse, then total_square_modulus's sum
+        sq_now = [
+            abs(cons_c) ** 2 * profile_norm_sq(cons_w, du),
+            abs(shadow_c) ** 2 * profile_norm_sq(shadow_w, du),
+        ]
+        total = float(0 + sq_now[0] + sq_now[1])
+        max_cons = max(max_cons, abs(total - total0))
         cur_rows.append([(b - a) / dt for a, b in zip(sq_rows[-1], sq_now)])
         sq_rows.append(sq_now)
-        times.append(state.time)
-        tot_rows.append(total_square_modulus(state))
+        times.append(t)
+        tot_rows.append(total)
 
-    if injected is not None:
-        pairs = rule4_pairs(state, injected)
+    if hook is not None:
+        pairs = rule4_pairs(hook, injected)
         if pairs:
             raise Rule4Violation(pairs)
 
@@ -1090,20 +1116,19 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
     if max_cons > CONSERVATION_TOL * max(1.0, elapsed):
         raise InvariantBreach("norm-conservation", f"drift run leaked {max_cons:.3e}")
 
-    shadow = state.terms[shadow_idx]
+    if velocity != 0.0 and n_steps > 0:
+        state = drifted_state(state, 0, 1 if shedding else None, arrays, t)
+    cons, shadow = state.terms
+    phantom_sites = shadow.brain.pulse.phantom_sites
     summary = {
         "scenario": cfg.name,
         "steps": n_steps,
-        "traverse_sites": dr["velocity"] * dr["duration"] / grid.spacing,
-        "phantom_trail_count": int(
-            shadow.brain.pulse.phantom_sites.sum()
-            if shadow.brain.pulse.phantom_sites is not None
-            else 0
-        ),
-        "max_phantom_drift": max_phantom_drift,
+        "traverse_sites": dr["velocity"] * dr["duration"] / state.grid.spacing,
+        "phantom_trail_count": int(phantom_sites.sum() if phantom_sites is not None else 0),
+        "max_phantom_drift": float(max_phantom_drift),
         "max_conservation_drift": max_cons,
         "rule4_violations": 0,
-        "conscious_square_modulus": state.terms[0].square_modulus(),
+        "conscious_square_modulus": cons.square_modulus(),
         "shadow_square_modulus": shadow.square_modulus(),
     }
     log = TrajectoryLog(
@@ -1112,7 +1137,7 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
         currents=np.array(cur_rows),
         total_sq=np.array(tot_rows),
         budget=np.zeros(len(times)),
-        labels=tuple(t.apparatus_label for t in state.terms),
+        labels=tuple(term.apparatus_label for term in state.terms),
     )
     return ScenarioResult(name=cfg.name, config=cfg, summary=summary, trajectory=log)
 

@@ -51,6 +51,7 @@ __all__ = [
     "delta_pulse",
     "pulse_from_weights",
     "pulse_overlap",
+    "profile_norm_sq",
     "total_square_modulus",
 ]
 
@@ -134,6 +135,11 @@ class FormationProgress:
     t_sc: float
 
 
+def profile_norm_sq(weights: np.ndarray, spacing: float) -> float:
+    """Square modulus of a profile sampled on a grid, sum |F|^2 du."""
+    return float(np.sum(np.abs(weights) ** 2) * spacing)
+
+
 def _frozen_array(values, dtype=np.complex128) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -200,7 +206,7 @@ class Pulse:
     @functools.cached_property
     def _norm_sq(self) -> float:
         # summed once: the weights are a read-only copy made at construction
-        return float(np.sum(np.abs(self.weights) ** 2) * self.grid.spacing)
+        return profile_norm_sq(self.weights, self.grid.spacing)
 
     def site_amplitudes(self) -> np.ndarray:
         """Amplitudes on the unit-norm site basis, F * sqrt(du)."""

@@ -27,6 +27,7 @@ GOLDEN_RUNS = {
     "turn_off_overlap.yaml": "5c76c676eaf895aff03d7ea15cdb2b286ead01e98a7115aec1644376a52afe4e",
     "disengage.yaml": "ef80dfb106a1f77b23cb057f3aaf7bae1172d25519d46a4b57e4320e33b1b5fd",
     "fade_in.yaml": "cc3d5036408031aa7ac581ffe0139a21a80688972490b833d76b31c4c8bfb525",
+    "pulse_drift.yaml": "5b386f297f84d12d87fcdc439df64d3109e3095b1206109ae2128e1baf46a18e",
 }
 
 
@@ -206,6 +207,23 @@ class TestExitCodes:
     def test_out_of_range_override_exits_1_naming_it(self, flag, value, key, tmp_path, capsys):
         """Overrides are checked as the config file's own values are."""
         code = cli.main(["run", "--config", cfg_path("interaction.yaml"), flag, value, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name, key, value", [
+        ("run", "interaction", "scenario.dt", float("nan")),
+        ("run", "pulse_drift", "drift.duration", float("nan")),
+        ("run", "fade_in", "formation.target_sigma", 0.0),
+        ("montecarlo", "interaction_halted", "source.amplitude", float("inf")),
+        ("run", "interaction", "grid.origin", float("inf")),
+    ])
+    def test_non_finite_or_nonpositive_value_exits_1_naming_it(self, command, name, key, value, tmp_path, capsys):
+        """Values YAML reads as .nan, .inf or a zero width are refused before anything runs."""
+        mapping = load_yaml(f"{name}.yaml")
+        section, field = key.split(".")
+        mapping.setdefault(section, {})[field] = value
+        path = write_yaml(tmp_path, "bad.yaml", mapping)
+        code = cli.main([command, "--config", path, "--trials", "1000", "--out", str(tmp_path / "o")])
         assert code == 1
         assert key in capsys.readouterr().err
 

@@ -1,7 +1,11 @@
 """Config schema tests: strict validation in both directions."""
 
-import pytest
+import os
 
+import pytest
+import yaml
+
+from pulsecollapse import cli
 from pulsecollapse.config import load_config, parse_config
 from pulsecollapse.errors import ConfigError
 
@@ -158,6 +162,32 @@ class TestFileLoading:
         path.write_text("scenario: [unclosed")
         with pytest.raises(ConfigError, match="YAML"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure_python"])
+    @pytest.mark.parametrize("text", ["scenario: [unclosed", "scenario: name: x", "scenario:\n\t- x", "a: \x07"])
+    def test_invalid_yaml_with_either_loader(self, tmp_path, monkeypatch, libyaml, text):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="is not valid YAML"):
+            load_config(str(path))
+
+    def test_pure_python_loader_gives_the_same_configs(self, monkeypatch):
+        """Where PyYAML lacks libyaml, yaml.SafeLoader parses every bundled config to the
+        same data and raw mapping as yaml.CSafeLoader."""
+        config_dir = os.path.join(os.path.dirname(cli.__file__), "configs")
+        paths = [os.path.join(config_dir, name) for name in cli.BUNDLED_CONFIGS]
+        used = []
+        load = yaml.load
+        monkeypatch.setattr(yaml, "load", lambda stream, Loader: used.append(Loader) or load(stream, Loader))
+        fast = [load_config(p) for p in paths]
+        assert set(used) == {getattr(yaml, "CSafeLoader", yaml.SafeLoader)}
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        slow = [load_config(p) for p in paths]
+        assert set(used[len(paths):]) == {yaml.SafeLoader}
+        for path, a, b in zip(paths, fast, slow):
+            assert (a.name, a.data, a.raw) == (b.name, b.data, b.raw), path
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.yaml"

@@ -8,6 +8,7 @@ suite at 10^5 trials.
 """
 
 import dataclasses
+import hashlib
 import math
 import sys
 import threading
@@ -79,6 +80,21 @@ GOLDEN_DIGESTS = {
     "turn_off_disjoint.yaml": "5197fa1c16cb6e4f0d19da594a17a399626d000d16bcc2c446e643c22772288d",
 }
 
+
+# drift overrides of the bundled pulse_drift config, with the sha256 of the float64
+# bytes of the log's times, sq_terms, currents and total_sq
+DRIFT_VARIANTS = {
+    "bundled": ({}, "f7660be638f018c90950f68433c07408e061f3c75b780df1677d5266743c149f"),
+    "still": ({"velocity": 0.0}, "3b0353f8cd9e50e626c1831a30ba07dd5bc95d7e40ecf7bbf9f540e488e71c64"),
+    "backwards": ({"velocity": -0.3}, "fdf3466b8430804a7bc615242ad5d17fd7df9c73d5e19bc63521db4a90687731"),
+    "no_shedding": ({"shed_rate": 0.0}, "cc0ebc5517ca1fbec53b202fee5ad1d42166c1eeccd27248278b462d76b9f064"),
+    "no_shadow": ({"shadow": False}, "cc0ebc5517ca1fbec53b202fee5ad1d42166c1eeccd27248278b462d76b9f064"),
+    "fast_short": ({"velocity": 2.0, "duration": 3.0},
+                   "64d331b3c504af29c57e348775d1a71558d4b298e8fdddf463feefd40a2890c9"),
+}
+
+# the injected pair's term indices follow the drift state's two terms
+INJECTED_PAIR = r"term 2 -> term 3 \(observer 'obs'\)"
 
 # complete budgets crowding one bucket of the hit-step table, with their refinement passes:
 # 39 values in the first bucket (and a repeated value); 5 in the last, three of them above 1
@@ -235,6 +251,61 @@ def stepped_trajectory(cfg, trial=0):
     log = {"times": times, "sq_terms": sq_rows, "currents": cur_rows,
            "total_sq": tot_rows, "budget": budget_rows}
     return {k: np.array(v) for k, v in log.items()}, event, extras
+
+
+def stepped_drift(cfg):
+    """A drift run as a loop over ``dynamics.drift_pulse`` on whole states, with the
+    phantom-freeze audit over a dict of frozen amplitudes: the log arrays and summary."""
+    state, _ = build_initial(cfg)
+    dr, dt = cfg.data["drift"], cfg.dt
+    n_steps = int(round(dr["duration"] / dt))
+    frozen, max_phantom_drift, max_cons = {}, 0.0, 0.0
+    total0 = total_square_modulus(state)
+    times = [state.time]
+    sq_rows = [[t.square_modulus() for t in state.terms]]
+    cur_rows = [[0.0] * len(state.terms)]
+    tot_rows = [total0]
+    for _ in range(n_steps):
+        state = dynamics.drift_pulse(state, velocity=dr["velocity"], dt=dt,
+                                     shadow_ready=dr["shadow"], shed_rate=dr["shed_rate"])
+        shadow = state.terms[1]
+        pulse = shadow.brain.pulse
+        if pulse.phantom_sites is not None:
+            amps = np.abs(shadow.coefficient) * np.abs(pulse.site_amplitudes())
+            for site in np.flatnonzero(pulse.phantom_sites).tolist():
+                if site in frozen:
+                    max_phantom_drift = max(max_phantom_drift, abs(amps[site] - frozen[site]))
+                else:
+                    frozen[site] = float(amps[site])
+        max_cons = max(max_cons, abs(total_square_modulus(state) - total0))
+        sq_now = [t.square_modulus() for t in state.terms]
+        cur_rows.append([(b - a) / dt for a, b in zip(sq_rows[-1], sq_now)])
+        sq_rows.append(sq_now)
+        times.append(state.time)
+        tot_rows.append(total_square_modulus(state))
+    shadow = state.terms[1]
+    phantom = shadow.brain.pulse.phantom_sites
+    summary = {
+        "scenario": cfg.name,
+        "steps": n_steps,
+        "traverse_sites": dr["velocity"] * dr["duration"] / state.grid.spacing,
+        "phantom_trail_count": int(phantom.sum() if phantom is not None else 0),
+        "max_phantom_drift": max_phantom_drift,
+        "max_conservation_drift": max_cons,
+        "rule4_violations": 0,
+        "conscious_square_modulus": state.terms[0].square_modulus(),
+        "shadow_square_modulus": shadow.square_modulus(),
+    }
+    log = {"times": times, "sq_terms": sq_rows, "currents": cur_rows,
+           "total_sq": tot_rows, "budget": np.zeros(len(times))}
+    return {k: np.array(v) for k, v in log.items()}, summary
+
+
+def drift_variant(**drift):
+    """The bundled drift config with some ``drift`` keys replaced."""
+    raw = {k: dict(v) for k, v in bundled_config("pulse_drift.yaml").raw.items()}
+    raw["drift"].update(drift)
+    return parse_config(raw)
 
 
 class TestBackbone:
@@ -505,6 +576,22 @@ class TestBatch:
         assert np.array_equal(hits.term_hit, np.asarray(bb.ready_ids)[want[:, 1]])
         assert np.array_equal(hits.u_sc, want[:, 2])
 
+    def test_draw_past_the_cdf_end_takes_the_last_cell_with_mass(self):
+        """On interaction step 3, u2 = nextafter(1, 0) times the pairwise total lands past
+        the running cdf[-1]; the hit goes to cell 217, the last with mass, not to the
+        massless last cell of the grid."""
+        bb = build_backbone(bundled_config("interaction.yaml"))
+        cdf, total = cdfs(bb)
+        u2 = np.nextafter(1.0, 0.0)
+        mass = np.diff(cdf[3], prepend=0.0)
+        assert u2 * total[3] >= cdf[3][-1]
+        assert np.flatnonzero(mass > 0)[-1] == 217 and mass[-1] == 0.0
+        assert scenarios._flat_cell(cdf[3], u2 * total[3]) == 217
+        u1 = 0.5 * (bb.cum_budget[2] + bb.cum_budget[3])
+        hits = place_hits(bb, cdf, total, np.array([[u1, u2, 0.5], [u1, 0.5, 0.5]]))
+        assert np.array_equal(hits.step, [3, 3])
+        assert hits.u_sc[0] == 217
+
     def test_digest_holds_under_fast_thread_switching(self, monkeypatch):
         """Many small chunks hashed on the helper thread while the interpreter switches
         threads every 10 us give the pinned digest."""
@@ -652,22 +739,49 @@ class TestDriftScenario:
         assert result.summary["max_phantom_drift"] < 1e-12
         assert result.summary["max_conservation_drift"] < 1e-9 * 12
 
+    @pytest.mark.parametrize("name", DRIFT_VARIANTS)
+    def test_equals_stepped_drift(self, name):
+        """The array kernel gives the log and summary of drift_pulse stepped on whole
+        states, and the pinned log of the drift before it ran on arrays."""
+        drift, digest = DRIFT_VARIANTS[name]
+        cfg = drift_variant(**drift)
+        result = run_pulse_drift(cfg)
+        log, summary = stepped_drift(cfg)
+        for key, want in log.items():
+            assert np.array_equal(getattr(result.trajectory, key), want), key
+        assert result.summary == summary
+        assert result.trajectory.labels == (1, 2)
+        data = b"".join(log[key].tobytes() for key in ("times", "sq_terms", "currents", "total_sq"))
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_tampered_phantom_breaks_the_freeze(self):
+        raw = {k: dict(v) for k, v in bundled_config("pulse_drift.yaml").raw.items()}
+        raw["debug"] = {"tamper_phantom": True}
+        with pytest.raises(InvariantBreach) as info:
+            run_pulse_drift(parse_config(raw))
+        assert info.value.invariant == "phantom-freeze"
+        assert str(info.value) == "invariant breached: phantom-freeze (phantom amplitude moved by 1.251e-07)"
+
     def test_injected_ready_transfer_is_caught_without_guard(self):
         """Guard off: the violation is surfaced after the run and aborted."""
         cfg = bundled_config("pulse_drift.yaml")
         raw = {k: dict(v) for k, v in cfg.raw.items()}
         raw["debug"] = {"intra_ready_transfer": True}
         raw["scenario"]["guard"] = False
-        with pytest.raises(Rule4Violation):
+        with pytest.raises(Rule4Violation, match=INJECTED_PAIR):
             run_pulse_drift(parse_config(raw))
 
-    def test_injected_ready_transfer_is_blocked_with_guard(self):
-        """Guard on: the scheduled step itself refuses to run."""
+    def test_injected_ready_transfer_is_blocked_with_guard(self, monkeypatch):
+        """Guard on: the scheduled step itself refuses to run, before any drift step."""
+        drifted = []
+        kernel_step = dynamics.DriftKernel.step
+        monkeypatch.setattr(dynamics.DriftKernel, "step", lambda *a: drifted.append(1) or kernel_step(*a))
         cfg = bundled_config("pulse_drift.yaml")
         raw = {k: dict(v) for k, v in cfg.raw.items()}
         raw["debug"] = {"intra_ready_transfer": True}
-        with pytest.raises(Rule4Violation):
+        with pytest.raises(Rule4Violation, match=INJECTED_PAIR):
             run_pulse_drift(parse_config(raw))
+        assert not drifted
 
 
 class TestFadeIn:
