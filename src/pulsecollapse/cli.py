@@ -36,6 +36,9 @@ from . import __version__
 from .config import ScenarioConfig, load_config
 from .errors import ConfigError, InvariantBreach, Rule4Violation, SimulationError
 from .scenarios import (
+    CONSERVATION_TOL,
+    NORM_TOL,
+    PHANTOM_FREEZE_TOL,
     TrajectoryLog,
     run_batch,
     run_pulse_drift,
@@ -207,13 +210,7 @@ def cmd_run(args) -> int:
     _prepare_out(args.out, args.force)
     manifest = _manifest(args, cfg, "run")
 
-    if cfg.name == "pulse_drift":
-        result = run_pulse_drift(cfg)
-        log, events, summary = result.trajectory, [], result.summary
-    elif cfg.name in ("disengage", "fade_in"):
-        result = run_scenario(cfg)
-        log, events, summary = result.trajectory, result.events, result.summary
-    else:
+    if cfg.name in BATCH_SCENARIOS:
         out = simulate_trajectory(cfg, trial=0)
         log = out.log
         events = [out.event] if out.event else []
@@ -236,6 +233,9 @@ def cmd_run(args) -> int:
                 }
             )
         summary.update({k: v for k, v in out.extras.items() if np.isscalar(v)})
+    else:
+        result = run_scenario(cfg)
+        log, events, summary = result.trajectory, result.events, result.summary
 
     if manifest.emit_trajectory and log is not None:
         _write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), log)
@@ -324,13 +324,13 @@ def _verify_one(cfg: ScenarioConfig, checks: List[Dict], label: str) -> None:
         bb, batch = run_batch(small)
         record(
             "normalization",
-            bb.audits["max_pulse_norm_error"] <= 1e-9,
+            bb.audits["max_pulse_norm_error"] <= NORM_TOL,
             f"max pulse norm error {bb.audits['max_pulse_norm_error']:.3e}",
         )
         elapsed = bb.times[-1] - bb.times[0]
         record(
             "conservation",
-            bb.audits["max_conservation_drift"] <= 1e-9 * max(1.0, elapsed),
+            bb.audits["max_conservation_drift"] <= CONSERVATION_TOL * max(1.0, elapsed),
             f"max drift {bb.audits['max_conservation_drift']:.3e} over {elapsed:.3g} time",
         )
         _, batch2 = run_batch(small, backbone=bb)
@@ -364,14 +364,14 @@ def _verify_one(cfg: ScenarioConfig, checks: List[Dict], label: str) -> None:
         result = run_pulse_drift(cfg)
         record(
             "phantom-freeze",
-            result.summary["max_phantom_drift"] < 1e-12,
+            result.summary["max_phantom_drift"] < PHANTOM_FREEZE_TOL,
             f"max drift {result.summary['max_phantom_drift']:.3e} over "
             f"{result.summary['phantom_trail_count']} trail sites",
         )
         record(
             "conservation",
             result.summary["max_conservation_drift"]
-            <= 1e-9 * max(1.0, cfg.data["drift"]["duration"]),
+            <= CONSERVATION_TOL * max(1.0, cfg.data["drift"]["duration"]),
             f"max drift {result.summary['max_conservation_drift']:.3e}",
         )
         guard_cfg = _debug_variant(cfg, intra_ready_transfer=True)
@@ -385,7 +385,7 @@ def _verify_one(cfg: ScenarioConfig, checks: List[Dict], label: str) -> None:
         if cfg.name == "fade_in":
             record(
                 "normalization",
-                result.summary["max_formation_norm_err"] <= 1e-9,
+                result.summary["max_formation_norm_err"] <= NORM_TOL,
                 f"max staged-formation norm error "
                 f"{result.summary['max_formation_norm_err']:.3e}",
             )

@@ -19,15 +19,6 @@ from .errors import ConfigError
 
 __all__ = ["ScenarioConfig", "SCENARIO_NAMES", "load_config", "parse_config"]
 
-SCENARIO_NAMES = (
-    "interaction",
-    "unresolvable_observation",
-    "turn_off",
-    "disengage",
-    "pulse_drift",
-    "fade_in",
-)
-
 _BASE_SCHEMA: Dict[str, Dict[str, type]] = {
     "scenario": {
         "name": str,
@@ -53,44 +44,32 @@ _FORMATION = {
     "neighbor_radius": int,
     "settle_steps": int,
 }
-_TWO_SOURCE = {"amplitude1": float, "amplitude2": float}
-_TWO_PULSES = {"center1": float, "sigma1": float, "center2": float, "sigma2": float}
 
+_ONE_SOURCE = {
+    "envelope": _ENVELOPE,
+    "source": {"amplitude": float},
+    "pulses": {
+        "conscious_center": float,
+        "conscious_sigma": float,
+        "ready_center": float,
+        "ready_sigma": float,
+    },
+    "formation": _FORMATION,
+}
+_TWO_SOURCES = {
+    "envelope": _ENVELOPE,
+    "source": {"amplitude1": float, "amplitude2": float},
+    "pulses": {"center1": float, "sigma1": float, "center2": float, "sigma2": float},
+    "variant": {"arrangement": str},
+    "formation": _FORMATION,
+}
+
+# every section a scenario takes; all are required but ``variant``, which has a default
 _SCENARIO_SCHEMAS: Dict[str, Dict[str, Dict[str, type]]] = {
-    "interaction": {
-        "envelope": _ENVELOPE,
-        "source": {"amplitude": float},
-        "pulses": {
-            "conscious_center": float,
-            "conscious_sigma": float,
-            "ready_center": float,
-            "ready_sigma": float,
-        },
-        "formation": _FORMATION,
-    },
-    "unresolvable_observation": {
-        "envelope": _ENVELOPE,
-        "source": _TWO_SOURCE,
-        "pulses": _TWO_PULSES,
-        "variant": {"arrangement": str},
-        "formation": _FORMATION,
-    },
-    "turn_off": {
-        "envelope": _ENVELOPE,
-        "source": _TWO_SOURCE,
-        "pulses": _TWO_PULSES,
-        "variant": {"arrangement": str},
-        "formation": _FORMATION,
-        "turn_off": {"t_off": float},
-    },
-    "disengage": {
-        "envelope": _ENVELOPE,
-        "source": _TWO_SOURCE,
-        "pulses": _TWO_PULSES,
-        "variant": {"arrangement": str},
-        "formation": _FORMATION,
-        "disengage": {"t_dis": float, "hold_steps": int},
-    },
+    "interaction": _ONE_SOURCE,
+    "unresolvable_observation": _TWO_SOURCES,
+    "turn_off": {**_TWO_SOURCES, "turn_off": {"t_off": float}},
+    "disengage": {**_TWO_SOURCES, "disengage": {"t_dis": float, "hold_steps": int}},
     "pulse_drift": {
         "pulses": {"center": float, "sigma": float},
         "drift": {
@@ -100,34 +79,10 @@ _SCENARIO_SCHEMAS: Dict[str, Dict[str, Dict[str, type]]] = {
             "shadow": bool,
         },
     },
-    "fade_in": {
-        "envelope": _ENVELOPE,
-        "source": {"amplitude": float},
-        "pulses": {
-            "conscious_center": float,
-            "conscious_sigma": float,
-            "ready_center": float,
-            "ready_sigma": float,
-        },
-        "formation": _FORMATION,
-    },
+    "fade_in": _ONE_SOURCE,
 }
 
-_REQUIRED_SECTIONS = {
-    "interaction": ("scenario", "grid", "envelope", "source", "pulses", "formation"),
-    "unresolvable_observation": (
-        "scenario",
-        "grid",
-        "envelope",
-        "source",
-        "pulses",
-        "formation",
-    ),
-    "turn_off": ("scenario", "grid", "envelope", "source", "pulses", "formation", "turn_off"),
-    "disengage": ("scenario", "grid", "envelope", "source", "pulses", "formation", "disengage"),
-    "pulse_drift": ("scenario", "grid", "pulses", "drift"),
-    "fade_in": ("scenario", "grid", "envelope", "source", "pulses", "formation"),
-}
+SCENARIO_NAMES = tuple(_SCENARIO_SCHEMAS)
 
 _REQUIRED_KEYS = {
     "scenario": ("name", "seed", "dt"),
@@ -260,10 +215,7 @@ def parse_config(mapping: Dict[str, Any]) -> ScenarioConfig:
             f"scenario.name must be one of {', '.join(SCENARIO_NAMES)}; got {name!r}"
         )
 
-    schema = dict(_BASE_SCHEMA)
-    schema.update(_SCENARIO_SCHEMAS[name])
-    if name in ("unresolvable_observation", "turn_off", "disengage"):
-        schema["variant"] = {"arrangement": str}
+    schema = {**_BASE_SCHEMA, **_SCENARIO_SCHEMAS[name]}
 
     for section in mapping:
         if section not in schema:
@@ -274,7 +226,8 @@ def parse_config(mapping: Dict[str, Any]) -> ScenarioConfig:
             if key not in schema[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
 
-    for section in _REQUIRED_SECTIONS[name]:
+    required = ("scenario", "grid", *(sec for sec in _SCENARIO_SCHEMAS[name] if sec != "variant"))
+    for section in required:
         if section not in mapping:
             raise ConfigError(f"missing required config section {section!r}")
         for key in _REQUIRED_KEYS.get(section, ()):
@@ -381,6 +334,10 @@ def load_config(path: str) -> ScenarioConfig:
             mapping = yaml.load(fh, Loader=loader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:  # a directory, or no permission to read
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}")
     if mapping is None:

@@ -1,12 +1,14 @@
 """Deterministic evolution between reductions.
 
 Envelope schedules move square modulus between terms in closed form (exact
-norm conservation, no accumulated integration error); ``step`` advances a
-state by dt and reports the probability currents the reduction engine
-consumes. Pulse formation after a hit and conscious-pulse drift with a ready
-shadow live here too. Drift runs on plain arrays in ``DriftKernel``, with
-its loop invariants computed once; ``drift_pulse`` is one kernel step on a
-state, and ``drifted_state`` rebuilds a state from the kernel's arrays
+norm conservation, no accumulated integration error); ``step`` checks a
+schedule against the state, advances it by dt and reports the probability
+currents the reduction engine consumes. Its term update alone is
+``advance``, for a caller that already knows the coefficients (after a hit
+none move). Pulse formation after a hit and conscious-pulse drift with a
+ready shadow live here too. Drift runs on plain arrays in ``DriftKernel``,
+with its loop invariants computed once; ``drift_pulse`` is one kernel step
+on a state, and ``drifted_state`` rebuilds a state from the kernel's arrays
 through the validating constructors.
 
 Currents are finite differences of square moduli over the step, so the
@@ -56,6 +58,7 @@ __all__ = [
     "FormationPolicy",
     "Rule4Pair",
     "rule4_pairs",
+    "advance",
     "step",
     "form_pulse",
     "DriftKernel",
@@ -330,6 +333,37 @@ def _advance_formation(pulse: Pulse, dt: float) -> Pulse:
     )
 
 
+def advance(state: SystemState, coefficients: Dict[int, complex], dt: float) -> SystemState:
+    """The state at ``state.time + dt``: each term n takes ``coefficients[n]``
+    (its own coefficient when absent), phantom terms are kept as they are,
+    and each forming pulse widens once, however many terms share it.
+
+    This is ``step``'s term update without its checks or currents. It takes
+    dt rather than the end time because (t + dt) - t need not equal dt.
+    """
+    advanced_pulses: Dict[int, Pulse] = {}
+    new_terms = []
+    for n, term in enumerate(state.terms):
+        if term.phantom:
+            new_terms.append(term)
+            continue
+        brain = term.brain
+        if isinstance(brain, PulseFactor) and brain.pulse.forming is not None:
+            key = id(brain.pulse)
+            if key not in advanced_pulses:
+                advanced_pulses[key] = _advance_formation(brain.pulse, dt)
+            brain = PulseFactor(pulse=advanced_pulses[key], observer_id=brain.observer_id)
+        new_terms.append(
+            Term(
+                apparatus_label=term.apparatus_label,
+                coefficient=coefficients.get(n, term.coefficient),
+                brain=brain,
+                phantom=False,
+            )
+        )
+    return state.with_terms(new_terms, time=state.time + dt)
+
+
 def step(
     state: SystemState,
     schedule: EnvelopeSchedule,
@@ -375,34 +409,7 @@ def step(
 
     masses_before = _site_masses(state)
     sq_before = np.array([t.square_modulus() for t in state.terms])
-
-    predicted_next = schedule.predicted_coefficients(t1)
-    advanced_pulses: Dict[int, Pulse] = {}
-    new_terms = []
-    for n, term in enumerate(state.terms):
-        coeff = predicted_next.get(n, term.coefficient)
-        brain = term.brain
-        if (
-            not term.phantom
-            and isinstance(brain, PulseFactor)
-            and brain.pulse.forming is not None
-        ):
-            key = id(brain.pulse)
-            if key not in advanced_pulses:
-                advanced_pulses[key] = _advance_formation(brain.pulse, dt)
-            brain = PulseFactor(pulse=advanced_pulses[key], observer_id=brain.observer_id)
-        if term.phantom:
-            new_terms.append(term)
-        else:
-            new_terms.append(
-                Term(
-                    apparatus_label=term.apparatus_label,
-                    coefficient=coeff,
-                    brain=brain,
-                    phantom=False,
-                )
-            )
-    new_state = state.with_terms(new_terms, time=t1)
+    new_state = advance(state, schedule.predicted_coefficients(t1), dt)
 
     masses_after = _site_masses(new_state)
     sq_after = np.array([t.square_modulus() for t in new_state.terms])

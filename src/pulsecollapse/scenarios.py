@@ -18,8 +18,10 @@ built by ``site_cdfs``. ``run_batch`` places many trials' hits at once,
 computes everything past the step for hits only and keeps aggregates,
 while one helper thread hashes each chunk's records; ``simulate_trajectory``
 places one, reads its log up to the hit from the backbone, and from the
-hit on steps real states at full fidelity (reduce, form_pulse, turn-off
-and disengage phases).
+hit on builds each row from real states at full fidelity (reduce,
+form_pulse, turn-off and disengage events) with ``dynamics.advance``, the
+term update of ``step`` without a schedule to check: by the rules of
+engagement nothing moves amplitude after the stochastic choice.
 
 A residual budget below 1e-12 at the end of a completed transfer counts as
 certain (float telescoping can leave ~1e-15 behind).
@@ -47,6 +49,7 @@ from .dynamics import (
     DriftKernel,
     EnvelopeSchedule,
     FormationPolicy,
+    advance,
     drifted_state,
     form_pulse,
     rule4_pairs,
@@ -684,8 +687,12 @@ def simulate_trajectory(
     step are read from the closed-form backbone (built here unless given),
     and the first uniform picks the hit step by the batch rule,
     ``_hit_steps``; a second uniform picks the site from that step's
-    ``site_cdfs`` row. From the hit on, ``step`` advances the real states
-    through formation and the turn-off or disengage phase.
+    ``site_cdfs`` row. Every later row is one ``dynamics.advance`` of the
+    real state. After the hit nothing moves amplitude, so only formation
+    and the turn-off or disengage event change it; with no hit the rows
+    keep the ramp's closed-form coefficients. Each row's currents are the
+    finite differences ``step`` reports; ``step`` itself, with its schedule
+    checks and per-site currents, is never called here.
     """
     bb = backbone if backbone is not None else build_backbone(cfg)
     policy = _formation_policy(cfg)
@@ -720,7 +727,6 @@ def simulate_trajectory(
          for t, c in zip(bb.state0.terms, bb.coeffs[head - 1].tolist())],
         time=times[-1],
     )
-    active = schedule
     event: Optional[ReductionEvent] = None
     extras: Dict = {
         "occupied_counts": [],
@@ -754,7 +760,6 @@ def simulate_trajectory(
         if total_square_modulus(state) > pre + 1e-12:
             raise InvariantBreach("reduction-bound", "post norm exceeded pre norm")
         state = form_pulse(state, site, policy)
-        active = EnvelopeSchedule.hold()
         pl = _live_pulse(state)
         if pl is not None and pl.kind is PulseKind.CONSCIOUS:
             extras["occupied_counts"].append(int(np.count_nonzero(pl.weights)))
@@ -764,9 +769,14 @@ def simulate_trajectory(
         tot_rows[-1] = total_square_modulus(state)
 
     for _ in range(n_steps + 1 - len(times)):
-        state, report = step(state, active, dt, guard=cfg.guard)
+        # after the hit nothing moves amplitude; with no hit the rows keep the ramp's closed
+        # form, constant past t_end (with no tail steps the rounded ramp step count can end
+        # the backbone short of t_end)
+        state = advance(state, schedule.predicted_coefficients(state.time + dt) if event is None else {}, dt)
+        # the row's currents, as step reports them: before its turn-off or disengage event
+        sq = np.array([t.square_modulus() for t in state.terms])
+        cur_rows.append(list((sq - np.array(sq_rows[-1])) / dt))
         if event is not None:
-            # post-hit phases
             if cfg.name == "turn_off" and not extras["turned_off"] and state.time >= t_off:
                 state = _zero_label(state, label=1)
                 extras["turned_off"] = True
@@ -788,14 +798,11 @@ def simulate_trajectory(
 
         times.append(state.time)
         sq_rows.append([t.square_modulus() for t in state.terms])
-        cur_rows.append(list(report.per_term))
         tot_rows.append(total_square_modulus(state))
         budget_rows.append(budget_rows[-1])
 
     if cfg.name == "turn_off" and event is not None:
-        labels = {}
-        for lbl, c in event.post_coefficients.items():
-            labels[lbl] = abs(c) ** 2
+        labels = {lbl: abs(c) ** 2 for lbl, c in event.post_coefficients.items()}
         w1, w2 = labels.get(1, 0.0), labels.get(2, 0.0)
         u3 = rng.uniform()
         extras["spot_remains"] = bool(u3 < (w2 / (w1 + w2))) if (w1 + w2) > 0 else False
@@ -1030,7 +1037,8 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
     end. Trailing shadow sites freeze into phantoms; their amplitudes must
     stay constant to the last bit modulo renormalization rounding (audited
     at 1e-12). Two negative controls hook into the loop: ``tamper_phantom``
-    moves one frozen amplitude at step 3/5 of the run, and
+    moves one frozen amplitude at step 3/5 of the run (a ConfigError when
+    the shadow has no phantom site there to move), and
     ``intra_ready_transfer`` steps an injected ready-to-ready ramp before
     each drift step; with the guard off the violation is surfaced after
     the run and the run aborted.
@@ -1056,7 +1064,7 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
     hook = None
     if cfg.data["debug"]["intra_ready_transfer"]:
         hook, injected = _ready_transfer_injection(state, dt, dr["duration"])
-    tamper_step = n_steps * 3 // 5 if cfg.data["debug"]["tamper_phantom"] else -1
+    tamper_step = n_steps * 3 // 5 if cfg.data["debug"]["tamper_phantom"] else None
 
     frozen = np.zeros(n_points)
     has_frozen = np.zeros(n_points, dtype=bool)
@@ -1082,6 +1090,7 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
         if i == tamper_step and phantom.any():
             shadow_w = _tamper_phantom(shadow_w, phantom)
             arrays = (cons_w, cons_c, shadow_w, shadow_c, fed, phantom)
+            tamper_step = None  # fired
         if phantom.any():
             amps = np.abs(shadow_c) * np.abs(shadow_w * sqrt_du)
             seen = phantom & has_frozen
@@ -1103,6 +1112,11 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
         times.append(t)
         tot_rows.append(total)
 
+    if tamper_step is not None:
+        raise ConfigError(
+            f"debug.tamper_phantom did not fire: the shadow had no phantom site at step "
+            f"{tamper_step} of {n_steps}"
+        )
     if hook is not None:
         pairs = rule4_pairs(hook, injected)
         if pairs:

@@ -23,12 +23,19 @@ CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
 # sha256 of trajectory.csv + events.json + summary.json from `run` at each config's own seed
 GOLDEN_RUNS = {
     "interaction.yaml": "914e26d4c51f71d5ef3f30e03df521f76a9b0f8b93838c1fabc69967fb0f65eb",
+    "interaction_halted.yaml": "b23d6caab17a6f3ab785fef5f7d210d2c93e45c056c9125d3b4bd7df143c25bb",
     "observation_overlap.yaml": "83e3fb5fef51a61c869224a6f30e42bbb46e30fbda125ba1edc37c0861768fd4",
+    "observation_disjoint.yaml": "3648a45bb6b6c9994544e890afc6375b703ac8b32be256fe0e85a9403a058a84",
+    "observation_single.yaml": "abbdf6b75180ea2ae13c3ed666ba810f2a9ca91fa690ec94b60cacd07064b129",
     "turn_off_overlap.yaml": "5c76c676eaf895aff03d7ea15cdb2b286ead01e98a7115aec1644376a52afe4e",
+    "turn_off_disjoint.yaml": "18f612f2d9955749435cb7287144d390d573705d2c51b2425cab0cbfede772fb",
     "disengage.yaml": "ef80dfb106a1f77b23cb057f3aaf7bae1172d25519d46a4b57e4320e33b1b5fd",
     "fade_in.yaml": "cc3d5036408031aa7ac581ffe0139a21a80688972490b833d76b31c4c8bfb525",
     "pulse_drift.yaml": "5b386f297f84d12d87fcdc439df64d3109e3095b1206109ae2128e1baf46a18e",
 }
+
+# sha256 of report.json from `verify` over the bundled configs
+GOLDEN_VERIFY_REPORT = "4fb67c799fe04db652a229ca8abcf44e36e5610da4e120af06d81b087324795c"
 
 
 def cfg_path(name):
@@ -230,6 +237,32 @@ class TestExitCodes:
     def test_missing_config_exits_1(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "no.yaml"), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure_python"])
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+    def test_unreadable_config_exits_1_naming_it(self, kind, libyaml, tmp_path, monkeypatch, capsys):
+        """A config that is not UTF-8 text, or is a directory, is a config error, not a traceback."""
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "cfg.yaml"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfescenario:\n  name: interaction\n")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("drift", [{"shadow": False}, {"shed_rate": 0.0}], ids=["no_shadow", "no_shedding"])
+    def test_tamper_with_no_phantom_exits_1_naming_it(self, command, drift, tmp_path, capsys):
+        """A tamper control that finds no phantom site to move must not pass as a clean run."""
+        mapping = load_yaml("pulse_drift.yaml")
+        mapping["debug"] = {"tamper_phantom": True}
+        mapping["drift"].update(drift)
+        path = write_yaml(tmp_path, "tamper.yaml", mapping)
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert "debug.tamper_phantom" in capsys.readouterr().err
+
     def test_guard_off_drift_injection_exits_2_naming_rule4(self, tmp_path, capsys):
         mapping = load_yaml("pulse_drift.yaml")
         mapping["debug"] = {"intra_ready_transfer": True}
@@ -343,6 +376,11 @@ class TestVerify:
         names = {c["invariant"] for c in report["checks"]}
         assert {"normalization", "conservation", "determinism", "reduction-zeroing"} <= names
         assert "PASS" in capsys.readouterr().out
+
+    def test_bundled_report_is_pinned(self, tmp_path):
+        """verify's report over the bundled configs is a deterministic function of the code."""
+        assert cli.main(["verify", "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256(read(tmp_path / "report.json")).hexdigest() == GOLDEN_VERIFY_REPORT
 
     def test_drift_config_covers_phantom_and_guard(self, tmp_path):
         out = tmp_path / "v"

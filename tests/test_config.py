@@ -8,6 +8,18 @@ import yaml
 from pulsecollapse import cli
 from pulsecollapse.config import load_config, parse_config
 from pulsecollapse.errors import ConfigError
+from tests.conftest import bundled_config
+
+
+# the sections each scenario requires besides ``scenario``, in the order a missing one is reported
+REQUIRED_SECTIONS = {
+    "interaction.yaml": ("grid", "envelope", "source", "pulses", "formation"),
+    "observation_overlap.yaml": ("grid", "envelope", "source", "pulses", "formation"),
+    "turn_off_overlap.yaml": ("grid", "envelope", "source", "pulses", "formation", "turn_off"),
+    "disengage.yaml": ("grid", "envelope", "source", "pulses", "formation", "disengage"),
+    "pulse_drift.yaml": ("grid", "pulses", "drift"),
+    "fade_in.yaml": ("grid", "envelope", "source", "pulses", "formation"),
+}
 
 
 def minimal_interaction(**tweaks):
@@ -61,6 +73,32 @@ class TestParsing:
         del bad["scenario"]["dt"]
         with pytest.raises(ConfigError, match="scenario.dt"):
             parse_config(bad)
+
+    @pytest.mark.parametrize("name", REQUIRED_SECTIONS)
+    def test_each_missing_section_is_named(self, name):
+        """Removing a required section names it; ``variant`` and ``debug`` have defaults."""
+        raw = {**bundled_config(name).raw, "debug": {}}
+        assert set(raw) - {"scenario", "variant", "debug"} == set(REQUIRED_SECTIONS[name])
+        for section in raw:
+            mapping = {k: v for k, v in raw.items() if k != section}
+            if section in ("variant", "debug"):
+                assert parse_config(mapping).data == parse_config(raw).data
+                continue
+            with pytest.raises(ConfigError) as info:
+                parse_config(mapping)
+            if section == "scenario":
+                assert str(info.value) == "config must contain scenario.name"
+            else:
+                assert str(info.value) == f"missing required config section {section!r}"
+
+    @pytest.mark.parametrize("name", REQUIRED_SECTIONS)
+    def test_missing_sections_are_reported_in_order(self, name):
+        raw = bundled_config(name).raw
+        required = REQUIRED_SECTIONS[name]
+        for i, section in enumerate(required):
+            with pytest.raises(ConfigError) as info:
+                parse_config({k: raw[k] for k in ("scenario", *required[:i])})
+            assert str(info.value) == f"missing required config section {section!r}"
 
     def test_missing_pulse_key_named(self):
         bad = minimal_interaction()
@@ -196,8 +234,6 @@ class TestFileLoading:
             load_config(str(path))
 
     def test_roundtrip_bundled(self):
-        from tests.conftest import bundled_config
-
         cfg = bundled_config("interaction.yaml")
         assert cfg.name == "interaction"
         assert cfg.trials == 100_000

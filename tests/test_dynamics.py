@@ -9,11 +9,14 @@ Closed-form anchors:
     intensity exactly in half.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from pulsecollapse.dynamics import (
     EnvelopeSchedule,
+    advance,
     FormationPolicy,
     drift_pulse,
     form_pulse,
@@ -296,6 +299,40 @@ class TestFormation:
         assert growth.max() <= 2 * 2
         assert np.all(growth >= 0)
         assert state.terms[0].brain.pulse.formation_stage > 0.999999
+
+    def test_advance_sets_coefficients_keeps_phantoms_and_widens_once(self):
+        """Two survivors share one forming pulse; a phantom term rides along untouched."""
+        chosen = SingleState(kind=PulseKind.CONSCIOUS, index=120)
+        two = SystemState(
+            terms=tuple(Term(apparatus_label=label, coefficient=0.5 + 0j, brain=chosen) for label in (1, 2)),
+            s=1.0,
+            time=1.0,
+            grid=GRID,
+        )
+        policy = FormationPolicy.staged(target_sigma=0.8, tau=0.05, neighbor_radius=2)
+        formed = form_pulse(two, 120, policy)
+        ready = SingleState(kind=PulseKind.READY, index=5)
+        phantom = Term(apparatus_label=3, coefficient=0.1 + 0j, brain=ready, phantom=True)
+        state = formed.with_terms(formed.terms + (phantom,))
+        nxt = advance(state, {1: 0.25j, 2: 0.3 + 0j}, 0.005)
+        assert nxt.time == 1.0 + 0.005
+        assert [t.coefficient for t in nxt.terms] == [0.5 + 0j, 0.25j, 0.1 + 0j]
+        assert nxt.terms[2] is phantom
+        pulse = nxt.terms[0].brain.pulse
+        assert nxt.terms[1].brain.pulse is pulse
+        assert pulse.formation_stage == 1.0 - math.exp(-0.005 / 0.05)
+        assert np.count_nonzero(pulse.weights) == 5
+
+    def test_advance_under_hold_is_step_under_hold(self):
+        policy = FormationPolicy.staged(target_sigma=0.8, tau=0.05)
+        state = form_pulse(self._post_reduction_state(), 120, policy)
+        hold = EnvelopeSchedule.hold()
+        for _ in range(20):
+            stepped, _ = step(state, hold, 0.005)
+            state = advance(state, {}, 0.005)
+            assert state.time == stepped.time
+            assert state.terms[0].coefficient == stepped.terms[0].coefficient
+            assert np.array_equal(state.terms[0].brain.pulse.weights, stepped.terms[0].brain.pulse.weights)
 
     def test_not_post_reduction_rejected(self):
         state = two_term_state()

@@ -69,6 +69,9 @@ TRAJECTORY_CONFIGS = (
 # large 31-bit seeds for the stepped-trajectory comparison
 LARGE_SEEDS = (2147483647, 2061012345, 1886280274, 1234567890, 987654321)
 
+# a ramp too weak to hit, so every row past the backbone is built without an event
+NO_HIT = {"envelope": {"fraction": 1e-9}}
+
 # events_digest of each batch config at its own seed and 10^5 trials
 GOLDEN_DIGESTS = {
     "interaction.yaml": "09cb6ed5a335e803ddd94370dac30992c108332b176e0de2f0d12975ef3aa3ee",
@@ -301,11 +304,17 @@ def stepped_drift(cfg):
     return {k: np.array(v) for k, v in log.items()}, summary
 
 
+def config_variant(name, sections):
+    """The bundled config ``name`` with the keys in ``sections`` ({section: {key: value}}) replaced."""
+    raw = {k: dict(v) for k, v in bundled_config(name).raw.items()}
+    for section, values in sections.items():
+        raw.setdefault(section, {}).update(values)
+    return parse_config(raw)
+
+
 def drift_variant(**drift):
     """The bundled drift config with some ``drift`` keys replaced."""
-    raw = {k: dict(v) for k, v in bundled_config("pulse_drift.yaml").raw.items()}
-    raw["drift"].update(drift)
-    return parse_config(raw)
+    return config_variant("pulse_drift.yaml", {"drift": drift})
 
 
 class TestBackbone:
@@ -702,28 +711,49 @@ class TestTrajectory:
         bb = build_backbone(cfg)
         runs = [(cfg, trial) for trial in range(20)]
         runs += [(cfg.with_overrides(seed=seed), 0) for seed in LARGE_SEEDS]
+        no_hit = config_variant(name, NO_HIT)
+        if name in ("turn_off_overlap.yaml", "disengage.yaml", "fade_in.yaml"):
+            # the scenarios with rows past the backbone also run without a hit
+            runs += [(no_hit, trial) for trial in range(3)]
         for c, trial in runs:
             out = simulate_trajectory(c, trial=trial, backbone=bb if c is cfg else None)
             log, event, extras = stepped_trajectory(c, trial)
+            if c is no_hit:
+                assert event is None and len(log["times"]) > len(bb.times), trial
             for key, want in log.items():
                 assert np.array_equal(getattr(out.log, key), want), (c.seed, trial, key)
             assert out.event == event, (c.seed, trial)
             assert out.extras == extras, (c.seed, trial)
 
     @pytest.mark.parametrize("name", TRAJECTORY_CONFIGS)
-    def test_steps_only_after_the_hit(self, name, monkeypatch):
-        """Rows up to the hit come from the backbone: step runs once per later row, never before the hit."""
-        calls = []
+    def test_never_calls_step(self, name, monkeypatch):
+        """Rows up to the hit come from the backbone and every later row from
+        dynamics.advance, with a hit and without one: step is never called."""
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].time)
-            return dynamics.step(*args, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate_trajectory called step")
 
-        monkeypatch.setattr(scenarios, "step", counted)
-        out = simulate_trajectory(bundled_config(name))
-        k = int(np.flatnonzero(out.log.times == out.event.t_sc)[0]) - 1
-        assert len(calls) == len(out.log.times) - 2 - k
-        assert min(calls) == out.event.t_sc
+        monkeypatch.setattr(scenarios, "step", refuse)
+        monkeypatch.setattr(dynamics, "step", refuse)
+        assert simulate_trajectory(bundled_config(name)).event is not None
+        assert simulate_trajectory(config_variant(name, NO_HIT)).event is None
+
+    def test_rows_past_a_short_backbone_follow_the_ramp(self):
+        """With no hit, rows past a backbone that ends short of t_end (200.24 ramp steps
+        rounded to 200, no tail) keep the ramp's closed-form coefficients rather than
+        the backbone's last row."""
+        cfg = config_variant("disengage.yaml", {"envelope": {"fraction": 1e-9, "t_end": 1.0012},
+                                                "scenario": {"tail_steps": 0}})
+        bb = build_backbone(cfg)
+        out = simulate_trajectory(cfg, backbone=bb)
+        assert out.event is None
+        assert bb.times[-1] < cfg.data["envelope"]["t_end"] < out.log.times[len(bb.times)]
+        terms = bb.state0.terms
+        for t, row in zip(out.log.times, out.log.sq_terms):
+            pred = bb.schedule.predicted_coefficients(t)
+            want = [abs(pred.get(n, term.coefficient)) ** 2 * term.brain.norm_sq() for n, term in enumerate(terms)]
+            assert row.tolist() == want, t
+        assert np.any(out.log.currents[len(bb.times)] != 0.0)
 
     def test_pulse_drift_rejected_by_ramp_driver(self):
         cfg = bundled_config("pulse_drift.yaml")
