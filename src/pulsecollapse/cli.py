@@ -20,7 +20,6 @@ clock appears only in manifest.json.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import os
@@ -34,20 +33,10 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig, load_config
-from .errors import ConfigError, InvariantBreach, Rule4Violation, SimulationError
-from .scenarios import (
-    CONSERVATION_TOL,
-    NORM_TOL,
-    PHANTOM_FREEZE_TOL,
-    TrajectoryLog,
-    run_batch,
-    run_pulse_drift,
-    run_scenario,
-    simulate_trajectory,
-)
+from .errors import ConfigError, InvariantBreach, SimulationError
+from .scenarios import SCENARIOS, TrajectoryLog, run_scenario, simulate_trajectory
 
 ENV_PREFIX = "PULSECOLLAPSE_"
-BATCH_SCENARIOS = ("interaction", "unresolvable_observation", "turn_off")
 
 BUNDLED_CONFIGS = (
     "interaction.yaml",
@@ -210,7 +199,7 @@ def cmd_run(args) -> int:
     _prepare_out(args.out, args.force)
     manifest = _manifest(args, cfg, "run")
 
-    if cfg.name in BATCH_SCENARIOS:
+    if SCENARIOS[cfg.name].batch:
         out = simulate_trajectory(cfg, trial=0)
         log = out.log
         events = [out.event] if out.event else []
@@ -276,10 +265,10 @@ def cmd_montecarlo(args) -> int:
     _resolve_out(args)
     if cfg.trials < 1000:
         raise ConfigError(f"montecarlo needs at least 1000 trials, got {cfg.trials}")
-    if cfg.name not in BATCH_SCENARIOS:
+    if not SCENARIOS[cfg.name].batch:
         raise ConfigError(
             f"scenario {cfg.name!r} has no Monte Carlo batch; "
-            f"supported: {', '.join(BATCH_SCENARIOS)}"
+            f"supported: {', '.join(name for name, sc in SCENARIOS.items() if sc.batch)}"
         )
     _prepare_out(args.out, args.force)
     manifest = _manifest(args, cfg, "montecarlo")
@@ -305,104 +294,10 @@ def cmd_montecarlo(args) -> int:
     return 0 if not failures else 3
 
 
-def _debug_variant(cfg: ScenarioConfig, **debug_flags) -> ScenarioConfig:
-    data = copy.deepcopy(cfg.data)
-    data["debug"].update(debug_flags)
-    return ScenarioConfig(name=cfg.name, data=data, raw=cfg.raw)
-
-
 def _verify_one(cfg: ScenarioConfig, checks: List[Dict], label: str) -> None:
-    """Append invariant check records for one config."""
-
-    def record(invariant: str, passed: bool, detail: str) -> None:
-        checks.append(
-            {"invariant": invariant, "config": label, "passed": bool(passed), "detail": detail}
-        )
-
-    if cfg.name in BATCH_SCENARIOS:
-        small = cfg.with_overrides(trials=2000)
-        bb, batch = run_batch(small)
-        record(
-            "normalization",
-            bb.audits["max_pulse_norm_error"] <= NORM_TOL,
-            f"max pulse norm error {bb.audits['max_pulse_norm_error']:.3e}",
-        )
-        elapsed = bb.times[-1] - bb.times[0]
-        record(
-            "conservation",
-            bb.audits["max_conservation_drift"] <= CONSERVATION_TOL * max(1.0, elapsed),
-            f"max drift {bb.audits['max_conservation_drift']:.3e} over {elapsed:.3g} time",
-        )
-        _, batch2 = run_batch(small, backbone=bb)
-        record(
-            "determinism",
-            batch.events_digest == batch2.events_digest,
-            f"event digest {batch.events_digest[:16]}",
-        )
-        out = None
-        for trial in range(10):
-            out = simulate_trajectory(small, trial=trial, backbone=bb)
-            if out.event is not None:
-                break
-        if out.event is None:
-            record("reduction-zeroing", True, "no hit in 10 trials (partial transfer)")
-        else:
-            post = sum(abs(c) ** 2 for c in out.event.post_coefficients.values())
-            labels = set(out.event.post_coefficients)
-            ok = bool(labels) and post <= out.event.pre_norm + 1e-12
-            if cfg.name != "turn_off":
-                # the final state still carries the survivors; turn_off may
-                # have zeroed them again at t_off
-                final = {t.apparatus_label for t in out.state.terms if t.coefficient != 0}
-                ok = ok and final == labels
-            record(
-                "reduction-zeroing",
-                ok,
-                f"{len(labels)} surviving label(s), post norm {post:.6f}",
-            )
-    elif cfg.name == "pulse_drift":
-        result = run_pulse_drift(cfg)
-        record(
-            "phantom-freeze",
-            result.summary["max_phantom_drift"] < PHANTOM_FREEZE_TOL,
-            f"max drift {result.summary['max_phantom_drift']:.3e} over "
-            f"{result.summary['phantom_trail_count']} trail sites",
-        )
-        record(
-            "conservation",
-            result.summary["max_conservation_drift"]
-            <= CONSERVATION_TOL * max(1.0, cfg.data["drift"]["duration"]),
-            f"max drift {result.summary['max_conservation_drift']:.3e}",
-        )
-        guard_cfg = _debug_variant(cfg, intra_ready_transfer=True)
-        try:
-            run_pulse_drift(guard_cfg)
-            record("rule4-guard", False, "injected ready transfer was not rejected")
-        except Rule4Violation as exc:
-            record("rule4-guard", True, f"guard rejected: {exc}")
-    else:
-        result = run_scenario(cfg)
-        if cfg.name == "fade_in":
-            record(
-                "normalization",
-                result.summary["max_formation_norm_err"] <= NORM_TOL,
-                f"max staged-formation norm error "
-                f"{result.summary['max_formation_norm_err']:.3e}",
-            )
-            record(
-                "formation-growth",
-                result.summary["max_growth_per_step"] <= result.summary["growth_bound"]
-                and result.summary["monotone_growth"],
-                f"max growth {result.summary['max_growth_per_step']} sites/step",
-            )
-        if cfg.name == "disengage":
-            record(
-                "coefficient-freeze",
-                result.summary["swap_identical"]
-                and result.summary["currents_zero_after_dis"]
-                and result.summary["square_moduli_constant_after_dis"],
-                "disengage left coefficients bit-identical and currents zero",
-            )
+    """Append the scenario's invariant check records for one config."""
+    for invariant, passed, detail in SCENARIOS[cfg.name].checks(cfg):
+        checks.append({"invariant": invariant, "config": label, "passed": bool(passed), "detail": detail})
 
 
 def cmd_verify(args) -> int:

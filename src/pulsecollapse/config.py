@@ -19,6 +19,8 @@ from .errors import ConfigError
 
 __all__ = ["ScenarioConfig", "SCENARIO_NAMES", "load_config", "parse_config"]
 
+MAX_GRID_POINTS = 1 << 20
+
 _BASE_SCHEMA: Dict[str, Dict[str, type]] = {
     "scenario": {
         "name": str,
@@ -272,8 +274,8 @@ def _check_values(name: str, data: Dict[str, Dict[str, Any]]) -> None:
         if data.get(section, {}).get(key, 0) < 0:
             raise ConfigError(f"{section}.{key} must be nonnegative, got {data[section][key]}")
     grid = data["grid"]
-    if grid["n_points"] < 8:
-        raise ConfigError(f"grid.n_points must be >= 8, got {grid['n_points']}")
+    if not 8 <= grid["n_points"] <= MAX_GRID_POINTS:
+        raise ConfigError(f"grid.n_points must be in [8, {MAX_GRID_POINTS}], got {grid['n_points']}")
     if grid["spacing"] <= 0:
         raise ConfigError(f"grid.spacing must be positive, got {grid['spacing']}")
     env = data.get("envelope")
@@ -299,6 +301,8 @@ def _check_values(name: str, data: Dict[str, Dict[str, Any]]) -> None:
             raise ConfigError(f"formation.target_sigma must be positive, got {form['target_sigma']}")
         if form["mode"] == "staged" and form["tau"] <= 0:
             raise ConfigError("formation.tau must be positive for staged mode")
+        if form["mode"] == "staged" and form["neighbor_radius"] < 1:
+            raise ConfigError(f"formation.neighbor_radius must be >= 1 for staged mode, got {form['neighbor_radius']}")
     var = data.get("variant")
     if var and var.get("arrangement") not in ("overlap", "disjoint", "single_state"):
         raise ConfigError(

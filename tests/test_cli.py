@@ -7,15 +7,20 @@ the contract 0 ok / 1 config / 2 invariant / 3 statistics.
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pulsecollapse import cli, scenarios
+from pulsecollapse import cli, config, scenarios
 from pulsecollapse.analysis import compare, hit_histogram
 
 CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
@@ -223,9 +228,10 @@ class TestExitCodes:
         ("run", "fade_in", "formation.target_sigma", 0.0),
         ("montecarlo", "interaction_halted", "source.amplitude", float("inf")),
         ("run", "interaction", "grid.origin", float("inf")),
+        ("run", "fade_in", "formation.neighbor_radius", 0),
     ])
     def test_non_finite_or_nonpositive_value_exits_1_naming_it(self, command, name, key, value, tmp_path, capsys):
-        """Values YAML reads as .nan, .inf or a zero width are refused before anything runs."""
+        """Values YAML reads as .nan, .inf, a zero width or a staged growth of no sites are refused before anything runs."""
         mapping = load_yaml(f"{name}.yaml")
         section, field = key.split(".")
         mapping.setdefault(section, {})[field] = value
@@ -233,6 +239,37 @@ class TestExitCodes:
         code = cli.main([command, "--config", path, "--trials", "1000", "--out", str(tmp_path / "o")])
         assert code == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("interaction", "scenario.dt", 1e-300),
+        ("turn_off_overlap", "turn_off.t_off", 1e9),
+        ("disengage", "disengage.t_dis", 1e9),
+        ("pulse_drift", "drift.duration", 1e9),
+        ("fade_in", "formation.settle_steps", 1_000_000_000),
+        ("disengage", "disengage.hold_steps", 1_000_000_000),
+        ("interaction", "envelope.t_end", 1e9),
+        ("interaction", "scenario.tail_steps", 1_000_000_000),
+        ("interaction", "grid.n_points", 2_000_000_000),
+        ("pulse_drift", "grid.n_points", 2_000_000_000),
+    ])
+    def test_oversized_run_exits_1_naming_it(self, name, key, value, tmp_path, capsys):
+        """A step count past MAX_STEPS or a grid past MAX_GRID_POINTS is refused before anything is built."""
+        mapping = load_yaml(f"{name}.yaml")
+        section, field = key.split(".")
+        mapping.setdefault(section, {})[field] = value
+        path = write_yaml(tmp_path, "big.yaml", mapping)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+
+    def test_montecarlo_never_steps_past_the_backbone(self, tmp_path, capsys):
+        """A turn-off time far past the window only lengthens trajectories, which a batch never runs."""
+        mapping = load_yaml("turn_off_overlap.yaml")
+        mapping["turn_off"]["t_off"] = 1e9
+        path = write_yaml(tmp_path, "late.yaml", mapping)
+        assert cli.main(["montecarlo", "--config", path, "--trials", "2000", "--out", str(tmp_path / "mc")]) == 0
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 1
+        assert "turn_off.t_off" in capsys.readouterr().err
 
     def test_missing_config_exits_1(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "no.yaml"), "--out", str(tmp_path / "o")]) == 1
@@ -309,6 +346,50 @@ class TestExitCodes:
         assert code == 1
 
 
+# values a user can write for any key; YAML reads .nan and .inf as floats
+PROBE_VALUES = (0, -1, 1e-300, 0.5, 1e9, float("nan"), float("inf"), True, "word", None, [1, 2], 3)
+
+
+@st.composite
+def bundled_with_one_key_set(draw):
+    name = draw(st.sampled_from(cli.BUNDLED_CONFIGS))
+    mapping = load_yaml(name)
+    schema = {**config._BASE_SCHEMA, **config._SCENARIO_SCHEMAS[mapping["scenario"]["name"]]}
+    section, key = draw(st.sampled_from([(sec, k) for sec, keys in schema.items() for k in keys]))
+    mapping.setdefault(section, {})[key] = draw(st.sampled_from(PROBE_VALUES))
+    return name, mapping
+
+
+def _overran(signum, frame):
+    raise TimeoutError("the run went on past 10 s")
+
+
+@given(case=bundled_with_one_key_set())
+@settings(max_examples=200, deadline=3000)
+def test_any_single_bad_value_ends_in_an_exit_code(case):
+    """One key of a bundled config set to any probe value ends in exit 0-3, never an exception.
+
+    The step and site-table ceilings are lowered (the bundled runs stay
+    under them) and an alarm stops a run that still goes on, so that a
+    regression fails this test instead of exhausting the machine.
+    """
+    name, mapping = case
+    argv = ["montecarlo", "--trials", "1000"] if name == "interaction_halted.yaml" else ["run"]
+    previous = signal.signal(signal.SIGALRM, _overran)
+    signal.alarm(10)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(scenarios, "MAX_STEPS", 2000), \
+                mock.patch.object(scenarios, "MAX_SITE_TABLE_BYTES", 1 << 24):
+            path = os.path.join(tmp, "cfg.yaml")
+            with open(path, "w") as fh:
+                yaml.safe_dump(mapping, fh)
+            assert cli.main(argv + ["--config", path, "--out", os.path.join(tmp, "o")]) in (0, 1, 2, 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestMontecarlo:
     def test_report_written_and_passes(self, tmp_path):
         out = tmp_path / "mc"
@@ -329,11 +410,15 @@ class TestMontecarlo:
         assert report["summary"]["probability_pass"]
         assert report["summary"]["closed_form_p_hit"] == pytest.approx(0.3, abs=1e-12)
 
-    def test_unsupported_scenario_rejected(self, tmp_path):
+    def test_unsupported_scenario_rejected(self, tmp_path, capsys):
         code = cli.main(
             ["montecarlo", "--config", cfg_path("fade_in.yaml"), "--out", str(tmp_path / "o")]
         )
         assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: scenario 'fade_in' has no Monte Carlo batch; "
+            "supported: interaction, unresolvable_observation, turn_off\n"
+        )
 
 
 class TestEnvOverrides:

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from pulsecollapse import cli
-from pulsecollapse.config import load_config, parse_config
+from pulsecollapse.config import MAX_GRID_POINTS, load_config, parse_config
 from pulsecollapse.errors import ConfigError
 from tests.conftest import bundled_config
 
@@ -149,6 +149,21 @@ class TestValueChecks:
         bad = minimal_interaction(formation__mode="staged", formation__tau=0.0)
         with pytest.raises(ConfigError, match="tau"):
             parse_config(bad)
+
+    def test_staged_needs_a_neighbor_radius_of_one_or_more(self):
+        """Staged formation grows the pulse by neighbor_radius sites a step; instant mode never reads it."""
+        for radius in (0, -1):
+            with pytest.raises(ConfigError, match="formation.neighbor_radius"):
+                parse_config(minimal_interaction(formation__mode="staged", formation__neighbor_radius=radius))
+        assert parse_config(minimal_interaction(formation__neighbor_radius=0)).get("formation.neighbor_radius") == 0
+        with pytest.raises(ConfigError, match="formation.neighbor_radius"):
+            parse_config(minimal_interaction(formation__neighbor_radius=0)).with_overrides(formation_mode="staged")
+
+    def test_grid_size_is_bounded(self):
+        assert parse_config(minimal_interaction(grid__n_points=MAX_GRID_POINTS)).get("grid.n_points") == MAX_GRID_POINTS
+        for n in (7, MAX_GRID_POINTS + 1):
+            with pytest.raises(ConfigError, match="grid.n_points"):
+                parse_config(minimal_interaction(grid__n_points=n))
 
     def test_turn_off_must_follow_window(self):
         cfg = minimal_interaction()

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from pulsecollapse import dynamics, scenarios
-from pulsecollapse.config import parse_config
+from pulsecollapse.config import SCENARIO_NAMES, parse_config
 from pulsecollapse.errors import (
     ConfigError,
     HitRateTooHigh,
@@ -315,6 +315,44 @@ def config_variant(name, sections):
 def drift_variant(**drift):
     """The bundled drift config with some ``drift`` keys replaced."""
     return config_variant("pulse_drift.yaml", {"drift": drift})
+
+
+class TestScenarioTable:
+    def test_every_scenario_name_has_an_entry(self):
+        assert set(scenarios.SCENARIOS) == set(SCENARIO_NAMES)
+
+    def test_every_field_tells_entries_apart(self):
+        for f in dataclasses.fields(scenarios.Scenario):
+            assert len({getattr(sc, f.name) for sc in scenarios.SCENARIOS.values()}) >= 2, f.name
+
+    def test_holds_no_reference_to_the_wrapped_functions(self):
+        """run_batch and simulate_trajectory are called through the module, so a wrapper set there sees every call."""
+        for sc in scenarios.SCENARIOS.values():
+            for f in dataclasses.fields(sc):
+                assert getattr(sc, f.name) not in (scenarios.run_batch, scenarios.simulate_trajectory)
+
+    @pytest.mark.parametrize("name, keys", [
+        ("interaction.yaml", ("scenario.dt", "scenario.tail_steps")),
+        ("turn_off_overlap.yaml", ("turn_off.t_off",)),
+        ("disengage.yaml", ("disengage.t_dis", "disengage.hold_steps")),
+        ("fade_in.yaml", ("formation.settle_steps",)),
+    ])
+    def test_step_ceiling_counts_the_rows_past_the_backbone(self, name, keys, monkeypatch):
+        """A trajectory over MAX_STEPS is refused, naming the keys that set its rows past the backbone."""
+        cfg = bundled_config(name).with_overrides(trials=1000)
+        n_steps = len(build_backbone(cfg).step_mass)
+        extra = scenarios.SCENARIOS[cfg.name].extra_steps(cfg)
+        monkeypatch.setattr(scenarios, "MAX_STEPS", n_steps + extra + 1)
+        assert len(simulate_trajectory(cfg).log.times) == n_steps + extra + 1
+        monkeypatch.setattr(scenarios, "MAX_STEPS", n_steps + extra - 1)
+        with pytest.raises(ConfigError) as exc:
+            simulate_trajectory(cfg)
+        assert all(k in str(exc.value) for k in keys)
+
+    def test_drift_step_ceiling(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "MAX_STEPS", 1199)
+        with pytest.raises(ConfigError, match="drift.duration"):
+            run_pulse_drift(bundled_config("pulse_drift.yaml"))
 
 
 class TestBackbone:
