@@ -106,10 +106,11 @@ def _write_json(path: str, payload) -> None:
 
 
 def _write_trajectory_csv(path: str, log: TrajectoryLog) -> None:
+    header = log.header()
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(log.header()) + "\n")
-        for row in log.rows():
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.write("".join([line % tuple(row) for row in log.table()]))
 
 
 def _event_record(event) -> Dict:

@@ -288,8 +288,8 @@ def _check_values(name: str, data: Dict[str, Dict[str, Any]]) -> None:
             raise ConfigError(f"envelope.fraction must be in (0, 1], got {env['fraction']}")
         if sc["dt"] > (env["t_end"] - env["t_start"]) / 100.0:
             raise ConfigError(
-                "scenario.dt must be at most 1/100 of the envelope window "
-                f"({(env['t_end'] - env['t_start']) / 100.0})"
+                f"scenario.dt ({sc['dt']}) must be at most 1/100 of the envelope window: "
+                f"(envelope.t_end - envelope.t_start) / 100 = {(env['t_end'] - env['t_start']) / 100.0}"
             )
     form = data.get("formation")
     if form:
@@ -311,12 +311,12 @@ def _check_values(name: str, data: Dict[str, Dict[str, Any]]) -> None:
         )
     if name == "fade_in" and data["formation"]["mode"] != "staged":
         raise ConfigError("fade_in requires formation.mode = staged")
-    if name == "turn_off" and env:
-        if data["turn_off"]["t_off"] <= env["t_end"]:
-            raise ConfigError("turn_off.t_off must come after the envelope window")
-    if name == "disengage" and env:
-        if data["disengage"]["t_dis"] <= env["t_end"]:
-            raise ConfigError("disengage.t_dis must come after the envelope window")
+    after = {"turn_off": "t_off", "disengage": "t_dis"}.get(name)
+    if after and data[name][after] <= env["t_end"]:
+        raise ConfigError(
+            f"{name}.{after} ({data[name][after]}) must come after the envelope window, "
+            f"which ends at envelope.t_end ({env['t_end']})"
+        )
     if name == "pulse_drift":
         dr = data["drift"]
         if dr["duration"] <= 0:

@@ -4,12 +4,13 @@ Envelope schedules move square modulus between terms in closed form (exact
 norm conservation, no accumulated integration error); ``step`` checks a
 schedule against the state, advances it by dt and reports the probability
 currents the reduction engine consumes. Its term update alone is
-``advance``, for a caller that already knows the coefficients (after a hit
-none move). Pulse formation after a hit and conscious-pulse drift with a
-ready shadow live here too. Drift runs on plain arrays in ``DriftKernel``,
-with its loop invariants computed once; ``drift_pulse`` is one kernel step
-on a state, and ``drifted_state`` rebuilds a state from the kernel's arrays
-through the validating constructors.
+``advance``; a trajectory past its hit runs only the formation stage of
+it, ``_advance_formation``. Pulse formation after a hit and
+conscious-pulse drift with a ready shadow live here too. Drift runs on
+plain arrays in ``DriftKernel``, with its loop invariants computed once;
+``drift_pulse`` is one kernel step on a state, and ``drifted_state``
+rebuilds a state from the kernel's arrays through the validating
+constructors.
 
 Currents are finite differences of square moduli over the step, so the
 per-term entries always telescope to the envelope's total transfer and the

@@ -93,9 +93,9 @@ class BrainGrid:
         if not (self.spacing > 0.0):
             raise GridTooCoarse(f"spacing must be positive, got {self.spacing}")
 
-    @property
+    @functools.cached_property
     def sites(self) -> np.ndarray:
-        """Coordinates of all grid sites."""
+        """Coordinates of all grid sites, computed once per grid (read-only)."""
         u = self.origin + self.spacing * np.arange(self.n_points)
         u.setflags(write=False)
         return u

@@ -25,7 +25,8 @@ from pulsecollapse.analysis import compare, hit_histogram
 
 CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
 
-# sha256 of trajectory.csv + events.json + summary.json from `run` at each config's own seed
+# sha256 of trajectory.csv + events.json + summary.json from `run` at each config's own seed,
+# or at the seed after "@": the hit falls on other rows of the post-hit scenarios there
 GOLDEN_RUNS = {
     "interaction.yaml": "914e26d4c51f71d5ef3f30e03df521f76a9b0f8b93838c1fabc69967fb0f65eb",
     "interaction_halted.yaml": "b23d6caab17a6f3ab785fef5f7d210d2c93e45c056c9125d3b4bd7df143c25bb",
@@ -37,6 +38,15 @@ GOLDEN_RUNS = {
     "disengage.yaml": "ef80dfb106a1f77b23cb057f3aaf7bae1172d25519d46a4b57e4320e33b1b5fd",
     "fade_in.yaml": "cc3d5036408031aa7ac581ffe0139a21a80688972490b833d76b31c4c8bfb525",
     "pulse_drift.yaml": "5b386f297f84d12d87fcdc439df64d3109e3095b1206109ae2128e1baf46a18e",
+    "turn_off_overlap.yaml@1": "296c6fdffd29b5fdfa7101dee081dc5c875a84ff421d3b4877a4d42a05a3fdab",
+    "turn_off_overlap.yaml@2": "1b9e7adc130b603e348ccf35377da79938de06b65b3b52703e71164cd5f85d1d",
+    "turn_off_overlap.yaml@3": "4e04483d154459a2ec05cd237a74ae739577944b2c37e8d14d9b587a6d20949b",
+    "disengage.yaml@1": "e4ad17534481551f1a8ed988c08ed95d7a7a6a3a5eef8dbe5bfdf221a3070e60",
+    "disengage.yaml@2": "bb58041d296210bde758e25ab21ec8144dd0885549d76d59619e9a263fd121d9",
+    "disengage.yaml@3": "4f0bb027822c0115263dbe6ea256ab801aa93cc74cbf439be75387db02cc4376",
+    "fade_in.yaml@1": "b124ef8053c75c60f50ec7d16bdee86f6a583650504f2455717d5841a5a735c1",
+    "fade_in.yaml@2": "8fe76cf85c059aba82ed37019effe1ad9599e9f12303888ff9495e4dbe5f304e",
+    "fade_in.yaml@3": "9651e9c191488207f397210925bb654465c27dcaa016daa172c409373f20e4d2",
 }
 
 # sha256 of report.json from `verify` over the bundled configs
@@ -142,8 +152,10 @@ class TestRun:
 
     @pytest.mark.parametrize("name", GOLDEN_RUNS)
     def test_golden_run_outputs(self, name, tmp_path):
-        """The run outputs for a config's own seed are pinned; any change to them must be deliberate."""
-        assert cli.main(["run", "--config", cfg_path(name), "--out", str(tmp_path)]) == 0
+        """The run outputs for a config's own seed, or a given one, are pinned; any change to them must be deliberate."""
+        config, _, seed = name.partition("@")
+        argv = ["run", "--config", cfg_path(config), "--out", str(tmp_path)]
+        assert cli.main(argv + (["--seed", seed] if seed else [])) == 0
         data = b"".join(read(tmp_path / f) for f in ("trajectory.csv", "events.json", "summary.json"))
         assert hashlib.sha256(data).hexdigest() == GOLDEN_RUNS[name]
 
@@ -308,12 +320,59 @@ class TestExitCodes:
         assert code == 2
         assert "Rule4Violation" in capsys.readouterr().err
 
-    def test_coarse_grid_exits_2_naming_it(self, tmp_path, capsys):
+    def test_coarse_grid_exits_1_naming_it(self, tmp_path, capsys):
         mapping = load_yaml("interaction.yaml")
         mapping["pulses"]["conscious_sigma"] = 0.15
         path = write_yaml(tmp_path, "coarse.yaml", mapping)
-        assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
-        assert "GridTooCoarse" in capsys.readouterr().err
+        assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: pulses.conscious_sigma, grid.spacing: sigma 0.15 < 2 * spacing 0.2: unresolvable\n"
+        )
+
+    @pytest.mark.parametrize("name, key, value, named", [
+        ("observation_overlap", "pulses.sigma1", 0, "pulses.sigma1, grid.spacing: sigma 0.0"),
+        ("interaction", "pulses.conscious_center", -5.0, "pulses.conscious_center, pulses.conscious_sigma, grid.origin"),
+        ("interaction", "grid.spacing", 3, "pulses.conscious_sigma, grid.spacing: sigma 0.8 < 2 * spacing 6.0"),
+        ("interaction", "source.amplitude", 0, "source.amplitude: s must be positive"),
+    ])
+    def test_unbuildable_initial_state_exits_1_naming_the_keys(self, name, key, value, named, tmp_path, capsys):
+        """A pulse the grid cannot resolve or hold, or a zero source, is a config error, not an invariant breach."""
+        mapping = load_yaml(f"{name}.yaml")
+        section, field = key.split(".")
+        mapping[section][field] = value
+        path = write_yaml(tmp_path, "bad.yaml", mapping)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {named}")
+
+    def test_coarse_formation_later_in_a_run_exits_2(self, tmp_path, capsys):
+        """The same error from formation after the hit is not a config error."""
+        mapping = load_yaml("interaction.yaml")
+        mapping["formation"]["target_sigma"] = 0.15
+        path = write_yaml(tmp_path, "coarse.yaml", mapping)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("invariant breach: GridTooCoarse: sigma 0.15")
+
+    @pytest.mark.parametrize("name, t_end, message", [
+        ("interaction", 1.0e-300,
+         "scenario.dt (0.005) must be at most 1/100 of the envelope window: "
+         "(envelope.t_end - envelope.t_start) / 100 = 1e-302"),
+        ("turn_off_overlap", 3,
+         "turn_off.t_off (1.5) must come after the envelope window, which ends at envelope.t_end (3.0)"),
+    ])
+    def test_cross_key_error_names_the_key_that_broke_it(self, name, t_end, message, tmp_path, capsys):
+        mapping = load_yaml(f"{name}.yaml")
+        mapping["envelope"]["t_end"] = t_end
+        path = write_yaml(tmp_path, "bad.yaml", mapping)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_large_source_amplitude_conserves_relative_to_s(self, command, tmp_path):
+        """s = 1e18 drifts by about 4e-16 of s, which the conservation bound, relative to s past 1, accepts."""
+        mapping = load_yaml("observation_overlap.yaml")
+        mapping["source"]["amplitude1"] = 1.0e9
+        path = write_yaml(tmp_path, "large.yaml", mapping)
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
 
     def test_tampered_phantom_exits_2_naming_the_invariant(self, tmp_path, capsys):
         mapping = load_yaml("pulse_drift.yaml")

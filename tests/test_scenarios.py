@@ -440,6 +440,13 @@ class TestBackbone:
         cdf, total = site_cdfs(np.array(rows, dtype=np.complex128), bb.ready_amps, dt, s)
         assert np.array_equal(cdf[0], np.cumsum(w))
 
+    def test_conservation_bound_is_relative_to_s_past_one(self):
+        """The bound is unchanged for s <= 1 and scales with s above it."""
+        tol = scenarios.CONSERVATION_TOL
+        assert scenarios._conservation_bound(1.0, 0.5) == tol
+        assert scenarios._conservation_bound(0.25, 3.0) == 3.0 * tol
+        assert scenarios._conservation_bound(1e18, 2.0) == tol * 2.0 * 1e18
+
     def test_fast_stepping_is_rejected(self, interaction_cfg, monkeypatch):
         """A per-step hit probability at or above the cap means dt is too coarse."""
         monkeypatch.setattr(scenarios, "MAX_STEP_HIT_PROBABILITY", 1e-3)
@@ -775,6 +782,44 @@ class TestTrajectory:
         monkeypatch.setattr(dynamics, "step", refuse)
         assert simulate_trajectory(bundled_config(name)).event is not None
         assert simulate_trajectory(config_variant(name, NO_HIT)).event is None
+
+    @pytest.mark.parametrize("name", TRAJECTORY_CONFIGS)
+    def test_builds_no_state_per_row(self, name, monkeypatch):
+        """States are built at the hit, the post-hit event and the end only: 100 more
+        rows build no more of them, with a hit and without one. The rows are added past
+        the backbone where the scenario runs past it, and to its tail otherwise."""
+        more_rows = {
+            "turn_off_overlap.yaml": {"turn_off": {"t_off": 2.0}},
+            "disengage.yaml": {"disengage": {"hold_steps": 160}},
+            "fade_in.yaml": {"formation": {"settle_steps": 400}},
+        }.get(name, {"scenario": {"tail_steps": 120}})
+        built = []
+        post_init = scenarios.SystemState.__post_init__
+        monkeypatch.setattr(scenarios.SystemState, "__post_init__", lambda st: built.append(1) or post_init(st))
+        for variant in ({}, NO_HIT):
+            counts, rows = [], []
+            for more in ({}, more_rows):
+                cfg = config_variant(name, {**variant, **more})
+                bb = build_backbone(cfg)
+                built.clear()
+                out = simulate_trajectory(cfg, backbone=bb)
+                assert (out.event is None) == (variant is NO_HIT)
+                counts.append(len(built))
+                rows.append(len(out.log.times))
+            assert rows[1] == rows[0] + 100
+            assert counts[0] == counts[1] <= 6, (variant, counts)
+
+    def test_carried_rows_are_audited_against_the_final_state(self, monkeypatch):
+        """Rows carried with a brain norm the state does not hold end in an invariant breach."""
+        carried = scenarios._carried_factors
+
+        def off_norms(state):
+            pulses, norms, forming = carried(state)
+            return pulses, [nrm * (1.0 + 1e-12) for nrm in norms], forming
+
+        monkeypatch.setattr(scenarios, "_carried_factors", off_norms)
+        with pytest.raises(InvariantBreach, match="trajectory-rows"):
+            simulate_trajectory(bundled_config("interaction.yaml"))
 
     def test_rows_past_a_short_backbone_follow_the_ramp(self):
         """With no hit, rows past a backbone that ends short of t_end (200.24 ramp steps
