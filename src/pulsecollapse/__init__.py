@@ -10,7 +10,6 @@ probabilities are verified against Monte Carlo batches.
 from .analysis import (
     HistogramCheck,
     ProbabilityReport,
-    closed_form_p2_after_off,
     closed_form_p_hit,
     compare,
     hit_histogram,
@@ -111,7 +110,6 @@ __all__ = [
     "ProbabilityReport",
     "HistogramCheck",
     "closed_form_p_hit",
-    "closed_form_p2_after_off",
     "compare",
     "hit_histogram",
     "SimulationError",

@@ -22,7 +22,6 @@ __all__ = [
     "ProbabilityReport",
     "HistogramCheck",
     "closed_form_p_hit",
-    "closed_form_p2_after_off",
     "compare",
     "hit_histogram",
 ]
@@ -40,11 +39,6 @@ def closed_form_p_hit(transferred_sq: float, s: float) -> float:
     if transferred_sq < -1e-12 or transferred_sq > s * (1.0 + 1e-9):
         raise ValueError(f"transferred square modulus {transferred_sq} outside [0, s]")
     return min(max(transferred_sq / s, 0.0), 1.0)
-
-
-def closed_form_p2_after_off(a2_sq: float, s: float) -> float:
-    """P(spot remains after source 1 is switched off) = |a_2|^2 / s."""
-    return closed_form_p_hit(a2_sq, s)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ clock appears only in manifest.json.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -342,7 +343,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building costs about 20 parses."""
     parser = argparse.ArgumentParser(
         prog="pulsecollapse",
         description="Stochastic reduction simulator: run trajectories, "

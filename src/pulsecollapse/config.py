@@ -142,8 +142,8 @@ class ScenarioConfig:
     """Validated scenario configuration.
 
     ``data`` holds the fully defaulted nested mapping; dotted ``get`` is the
-    accessor runners use. ``raw`` echoes the pre-default input for the run
-    manifest.
+    accessor runners use. ``raw`` is the input mapping as given, before
+    defaults; no output carries it.
     """
 
     name: str

@@ -3,9 +3,9 @@
 Envelope schedules move square modulus between terms in closed form (exact
 norm conservation, no accumulated integration error); ``step`` checks a
 schedule against the state, advances it by dt and reports the probability
-currents the reduction engine consumes. Its term update alone is
-``advance``; a trajectory past its hit runs only the formation stage of
-it, ``_advance_formation``. Pulse formation after a hit and
+currents the reduction engine consumes; a trajectory past its hit runs
+only the formation stage of it, ``_advance_formation``. Pulse formation
+after a hit and
 conscious-pulse drift with a ready shadow live here too. Drift runs on
 plain arrays in ``DriftKernel``, with its loop invariants computed once;
 ``drift_pulse`` is one kernel step on a state, and ``drifted_state``
@@ -59,7 +59,6 @@ __all__ = [
     "FormationPolicy",
     "Rule4Pair",
     "rule4_pairs",
-    "advance",
     "step",
     "form_pulse",
     "DriftKernel",
@@ -198,8 +197,11 @@ class EnvelopeSchedule:
 
     def predicted_coefficients(self, t: float) -> Dict[int, complex]:
         """Scheduled terms' coefficients at time t."""
+        return self.coefficients(*self.envelope_factors(t))
+
+    def coefficients(self, src_f: float, dst_f: float) -> Dict[int, complex]:
+        """Scheduled terms' coefficients at the given ``envelope_factors``."""
         out: Dict[int, complex] = {}
-        src_f, dst_f = self.envelope_factors(t)
         for tr, a0 in zip(self.transfers, self.source_amplitudes):
             out[tr.src] = a0 * src_f
             split = dst_f / math.sqrt(len(tr.dsts))
@@ -334,37 +336,6 @@ def _advance_formation(pulse: Pulse, dt: float) -> Pulse:
     )
 
 
-def advance(state: SystemState, coefficients: Dict[int, complex], dt: float) -> SystemState:
-    """The state at ``state.time + dt``: each term n takes ``coefficients[n]``
-    (its own coefficient when absent), phantom terms are kept as they are,
-    and each forming pulse widens once, however many terms share it.
-
-    This is ``step``'s term update without its checks or currents. It takes
-    dt rather than the end time because (t + dt) - t need not equal dt.
-    """
-    advanced_pulses: Dict[int, Pulse] = {}
-    new_terms = []
-    for n, term in enumerate(state.terms):
-        if term.phantom:
-            new_terms.append(term)
-            continue
-        brain = term.brain
-        if isinstance(brain, PulseFactor) and brain.pulse.forming is not None:
-            key = id(brain.pulse)
-            if key not in advanced_pulses:
-                advanced_pulses[key] = _advance_formation(brain.pulse, dt)
-            brain = PulseFactor(pulse=advanced_pulses[key], observer_id=brain.observer_id)
-        new_terms.append(
-            Term(
-                apparatus_label=term.apparatus_label,
-                coefficient=coefficients.get(n, term.coefficient),
-                brain=brain,
-                phantom=False,
-            )
-        )
-    return state.with_terms(new_terms, time=state.time + dt)
-
-
 def step(
     state: SystemState,
     schedule: EnvelopeSchedule,
@@ -410,7 +381,23 @@ def step(
 
     masses_before = _site_masses(state)
     sq_before = np.array([t.square_modulus() for t in state.terms])
-    new_state = advance(state, schedule.predicted_coefficients(t1), dt)
+    # scheduled coefficients (a term keeps its own otherwise), phantoms as they
+    # are, and a forming pulse widens once however many terms share it
+    coefficients = schedule.predicted_coefficients(t1)
+    advanced_pulses: Dict[int, Pulse] = {}
+    new_terms = []
+    for n, term in enumerate(state.terms):
+        if term.phantom:
+            new_terms.append(term)
+            continue
+        brain = term.brain
+        if isinstance(brain, PulseFactor) and brain.pulse.forming is not None:
+            key = id(brain.pulse)
+            if key not in advanced_pulses:
+                advanced_pulses[key] = _advance_formation(brain.pulse, dt)
+            brain = PulseFactor(pulse=advanced_pulses[key], observer_id=brain.observer_id)
+        new_terms.append(Term(term.apparatus_label, coefficients.get(n, term.coefficient), brain))
+    new_state = state.with_terms(new_terms, time=t1)
 
     masses_after = _site_masses(new_state)
     sq_after = np.array([t.square_modulus() for t in new_state.terms])

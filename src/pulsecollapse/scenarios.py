@@ -10,11 +10,12 @@ config first and refuses a longer run, naming the keys that set it.
 
 Two drivers share one probability law and one pre-hit flow. Before a hit
 only the envelope moves, so ``build_backbone`` evaluates its closed form
-once on the time grid, with the cumulative hit budget C(t) = (transferred
-square modulus)/s. A hit's step is placed by drawing one uniform against
-C(t) (``_hit_steps``, an exact bucket lookup in the backbone's
-``HitStepTable``) and its site by drawing a second against the per-site
-positive-current distribution of that step. Budget placement makes the
+once per time on a grid that reaches t_end, with the cumulative hit budget
+C(t) = (transferred square modulus)/s; neither driver evaluates the schedule
+again. A hit's step is placed by drawing one uniform against C(t)
+(``_hit_steps``, an exact bucket lookup in the backbone's ``HitStepTable``)
+and its site by drawing a second against the per-site positive-current
+distribution of that step. Budget placement makes the
 unconditional probability of a hit in step i exactly p_i = J+ dt / s, so a
 completed transfer is a certain hit and the total equals the closed form.
 Both drivers pick the site from the same flat (ready term, site) CDF,
@@ -301,13 +302,17 @@ class HitStepTable:
 
 @dataclass
 class Backbone:
-    """Closed-form pre-hit flow on the time grid, shared by all trials of one config."""
+    """Closed-form pre-hit flow on a time grid that reaches t_end, shared by all trials
+    of one config: a row per time, and a row per step in ``currents``, ``step_mass``
+    and ``cum_budget``."""
 
     state0: SystemState
     schedule: EnvelopeSchedule
     dt: float
     times: np.ndarray
     coeffs: np.ndarray
+    sq_terms: np.ndarray
+    currents: np.ndarray
     total_sq: np.ndarray
     step_mass: np.ndarray
     cum_budget: np.ndarray
@@ -355,14 +360,21 @@ def _check_steps(steps: float, keys: Tuple[str, ...]) -> None:
 _BACKBONE_KEYS = ("scenario.dt", "envelope.t_start", "envelope.t_end", "scenario.tail_steps")
 
 
-def _scenario_step_counts(cfg: ScenarioConfig) -> Tuple[int, int]:
-    """Ramp and tail steps of the scenario's backbone, checked before anything is built."""
+def _scenario_step_count(cfg: ScenarioConfig) -> int:
+    """Steps of the scenario's backbone, checked before anything is built: the rounded
+    ramp and the tail, and more while the repeated ``t + dt`` sums fall short of t_end."""
     if not SCENARIOS[cfg.name].ready_terms:
         raise SimulationError(f"scenario {cfg.name!r} has no ramp backbone")
-    env = cfg.data["envelope"]
+    env, tail = cfg.data["envelope"], cfg.data["scenario"]["tail_steps"]
     ramp = (env["t_end"] - env["t_start"]) / cfg.dt
-    _check_steps(ramp + cfg.data["scenario"]["tail_steps"], _BACKBONE_KEYS)
-    return int(round(ramp)), cfg.data["scenario"]["tail_steps"]
+    _check_steps(ramp + tail, _BACKBONE_KEYS)
+    n_steps, t = int(round(ramp)) + tail, env["t_start"]
+    for _ in range(n_steps):
+        t = t + cfg.dt
+    while t < env["t_end"]:  # with no tail, the rounded ramp can stop short
+        n_steps, t = n_steps + 1, t + cfg.dt
+        _check_steps(n_steps, _BACKBONE_KEYS)
+    return n_steps
 
 
 def _hit_targets(state: SystemState) -> Tuple[Tuple[int, ...], np.ndarray]:
@@ -377,9 +389,10 @@ def build_backbone(cfg: ScenarioConfig) -> Backbone:
     Before a hit only the scheduled coefficients move and every brain factor
     is static, so the values equal those of ``step`` applied step by step,
     and its per-step checks (rule-4 guard, hit-rate cap, conservation, pulse
-    norm) run once on whole arrays.
+    norm) run once on whole arrays. One ``envelope_factors`` call per time
+    gives both its coefficients and its ``dst_factor``.
     """
-    n_steps = sum(_scenario_step_counts(cfg))
+    n_steps = _scenario_step_count(cfg)
     state0, schedule = build_initial(cfg)
     if cfg.guard:
         pairs = rule4_pairs(state0, schedule)
@@ -391,15 +404,17 @@ def build_backbone(cfg: ScenarioConfig) -> Backbone:
     times = [state0.time]
     for _ in range(n_steps):
         times.append(times[-1] + dt)
+    factors = [schedule.envelope_factors(t) for t in times]
     rows = [[t.coefficient for t in state0.terms]]
-    for t in times[1:]:
-        pred = schedule.predicted_coefficients(t)
+    for f in factors[1:]:
+        pred = schedule.coefficients(*f)
         rows.append([pred.get(n, c) for n, c in enumerate(rows[0])])
     # square moduli as Term.square_modulus takes them: Python abs and pow
     norms = [t.brain.norm_sq() for t in state0.terms]
     sq_rows = [[abs(c) ** 2 * nrm for c, nrm in zip(row, norms)] for row in rows]
     total = np.array([sum(row) for row in sq_rows])
-    currents = np.diff(np.array(sq_rows), axis=0) / dt
+    sq_terms = np.array(sq_rows)
+    currents = np.diff(sq_terms, axis=0) / dt
     step_mass = np.clip(np.where(currents > 0.0, currents, 0.0).sum(axis=1) * dt / s, 0.0, 1.0)
 
     too_fast = np.flatnonzero(step_mass >= MAX_STEP_HIT_PROBABILITY)
@@ -427,12 +442,14 @@ def build_backbone(cfg: ScenarioConfig) -> Backbone:
         dt=dt,
         times=np.array(times),
         coeffs=np.array(rows, dtype=np.complex128),
+        sq_terms=sq_terms,
+        currents=currents,
         total_sq=total,
         step_mass=step_mass,
         cum_budget=cum_budget,
         ready_ids=ready_ids,
         ready_amps=ready_amps,
-        dst_factor=np.array([schedule.envelope_factors(t)[1] for t in times]),
+        dst_factor=np.array([f[1] for f in factors]),
         audits={
             "max_conservation_drift": cons_drift,
             "max_pulse_norm_error": max_norm_err,
@@ -622,7 +639,7 @@ def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple
     from concurrent.futures import ThreadPoolExecutor
 
     n_points = cfg.data["grid"]["n_points"]
-    n_steps = sum(_scenario_step_counts(cfg))
+    n_steps = _scenario_step_count(cfg)
     table_bytes = 8 * n_steps * SCENARIOS[cfg.name].ready_terms * n_points
     if table_bytes > MAX_SITE_TABLE_BYTES:
         raise ConfigError(
@@ -728,21 +745,20 @@ def simulate_trajectory(
 ) -> TrajectoryOutcome:
     """One trial end to end, with reduction and formation on real states.
 
-    Before the hit only the envelope moves, so the log's rows up to the hit
-    step are read from the closed-form backbone (built here unless given),
-    and the first uniform picks the hit step by the batch rule,
-    ``_hit_steps``; a second uniform picks the site from that step's
-    ``site_cdfs`` row. Later rows carry plain values from row to row: the
-    time as repeated ``t + dt`` sums, each term's coefficient and brain
-    norm, the square moduli as ``Term.square_modulus`` takes them, their
-    total, and the currents as the finite differences ``step`` reports,
-    taken before the row's event. After the hit nothing moves amplitude,
-    so coefficients stay fixed; with no hit they keep the ramp's closed
-    form. A forming pulse widens once per row through
+    Everything before the hit is read from the backbone (built here unless
+    given), never from the schedule: the first uniform picks the hit step by
+    the batch rule, ``_hit_steps``, and the log's rows, pre-hit norm and ramp
+    progress up to it are the backbone's; a second uniform picks the site
+    from that step's ``site_cdfs`` row. Later rows carry plain values: the
+    time as repeated ``t + dt`` sums, each coefficient and brain norm, the
+    square moduli as ``Term.square_modulus`` takes them, their total, and
+    the currents ``step`` reports, taken before the row's event. The
+    coefficients stay fixed, since nothing moves amplitude after a hit or
+    past t_end; a forming pulse widens once per row through
     ``_advance_formation``. A state is built only at the hit, at the
-    scenario's post-hit event and once at the end, where the last row must
-    equal its square moduli. The scenario's table entry sets the rows run
-    past the backbone and the post-hit event; ``step`` is never called here.
+    scenario's post-hit event (set with the rows past the backbone by its
+    table entry) and at the end, where the last row must equal its square
+    moduli. ``step`` is never called here.
     """
     sc = SCENARIOS[cfg.name]
     extra = sc.extra_steps(cfg)
@@ -750,15 +766,14 @@ def simulate_trajectory(
     policy = _formation_policy(cfg)
     rng = RngStream(cfg.seed, trial)
     u1 = rng.uniform()
-    dt, s, schedule = bb.dt, bb.state0.s, bb.schedule
+    dt, s = bb.dt, bb.state0.s
     n_steps = len(bb.step_mass) + extra
 
     k = int(_hit_steps(bb, np.array([u1]))[0])
     head = min(k + 2, len(bb.times))  # backbone rows, through the one the hit step ends on
     pulses, norms, forming = _carried_factors(bb.state0)
-    # square moduli as Term.square_modulus takes them, currents as step reports them
-    sq_rows = [[abs(c) ** 2 * nrm for c, nrm in zip(row, norms)] for row in bb.coeffs[:head].tolist()]
-    cur_rows = [[0.0] * len(norms), *(np.diff(sq_rows, axis=0) / dt).tolist()]
+    sq_rows = bb.sq_terms[:head].tolist()
+    cur_rows = [[0.0] * len(norms), *bb.currents[: head - 1].tolist()]
     times = bb.times[:head].tolist()
     tot_rows = bb.total_sq[:head].tolist()
     budget_rows = [0.0, *bb.cum_budget[: head - 1].tolist()]
@@ -783,9 +798,8 @@ def simulate_trajectory(
             raise InvariantBreach("site-selection", "hit fired with no positive site current")
         row, site = divmod(int(_flat_cell(cdf[0], u2 * total[0])), state.grid.n_points)
         term_idx = bb.ready_ids[row]
-        state = _with_values(state, coeffs, pulses, times[-1])
-        pre = total_square_modulus(state)
-        state = reduce(state, term_idx, site)
+        pre = float(bb.total_sq[k + 1])
+        state = reduce(_with_values(state, coeffs, pulses, times[-1]), term_idx, site)
         event = ReductionEvent(
             t_sc=state.time,
             term_hit=term_idx,
@@ -793,7 +807,7 @@ def simulate_trajectory(
             pre_norm=pre,
             post_coefficients={t.apparatus_label: t.coefficient for t in state.terms if t.coefficient != 0},
             rng_draws=(u1, u2),
-            ramp_progress=schedule.envelope_factors(state.time)[1] / schedule.envelope_factors(1e30)[1],
+            ramp_progress=float(bb.dst_factor[k + 1] / bb.dst_factor[-1]),
         )
         if total_square_modulus(state) > pre + 1e-12:
             raise InvariantBreach("reduction-bound", "post norm exceeded pre norm")
@@ -814,11 +828,6 @@ def simulate_trajectory(
     t, sq = times[-1], sq_rows[-1]
     for _ in range(n_steps + 1 - len(times)):
         t = t + dt
-        if event is None:
-            # with no hit the rows keep the ramp's closed form, constant past t_end (with no
-            # tail steps the rounded ramp step count can end the backbone short of t_end)
-            pred = schedule.predicted_coefficients(t)
-            coeffs = [pred.get(n, c) for n, c in enumerate(coeffs)]
         for shared in forming:
             pulse = _advance_formation(pulses[shared[0]], dt)
             for n in shared:
@@ -1036,7 +1045,7 @@ def run_turn_off(cfg: ScenarioConfig) -> ScenarioResult:
     bb, batch = run_batch(cfg)
     label2 = next(n for n in bb.ready_ids if bb.state0.terms[n].apparatus_label == 2)
     a2_sq = float(np.abs(bb.coeffs[-1, label2]) ** 2)
-    closed = analysis.closed_form_p2_after_off(a2_sq, bb.state0.s)
+    closed = analysis.closed_form_p_hit(a2_sq, bb.state0.s)
     report = analysis.compare(batch.spot_count, batch.n_hits, closed)
     summary = {
         "scenario": cfg.name,
@@ -1399,7 +1408,7 @@ class Scenario:
         past = (cfg.get(self.until) - cfg.data["envelope"]["t_end"]) / cfg.dt if self.until else 0.0
         hold = cfg.get(self.hold) if isinstance(self.hold, str) else self.hold
         keys = _BACKBONE_KEYS + tuple(k for k in (self.until, self.hold) if isinstance(k, str))
-        _check_steps(sum(_scenario_step_counts(cfg)) + past + hold, keys)
+        _check_steps(_scenario_step_count(cfg) + past + hold, keys)
         return int(round(past)) + hold
 
 

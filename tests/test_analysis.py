@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from pulsecollapse.analysis import (
     _chi2_sf,
-    closed_form_p2_after_off,
     closed_form_p_hit,
     compare,
     hit_histogram,
@@ -23,7 +22,7 @@ from pulsecollapse.errors import NonpositiveS, TooFewEvents, TooFewTrials
 def test_closed_form_is_the_ratio():
     assert closed_form_p_hit(0.3, 1.0) == 0.3
     assert closed_form_p_hit(0.5, 2.0) == 0.25
-    assert closed_form_p2_after_off(0.5, 1.0) == 0.5
+    assert closed_form_p_hit(0.5, 1.0) == 0.5
 
 
 def test_closed_form_rejects_bad_s():

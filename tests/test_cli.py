@@ -89,6 +89,18 @@ class TestRun:
         for name in ("trajectory.csv", "events.json", "summary.json"):
             assert read(out1 / name) == read(out2 / name)
 
+    def test_parser_is_built_once(self, tmp_path):
+        """Two runs and two failing calls share one parser, with the outputs and exit codes of fresh ones."""
+        cli._build_parser.cache_clear()
+        outs = [tmp_path / "a", tmp_path / "b"]
+        codes = [cli.main(["run", "--config", cfg_path("interaction.yaml"), "--out", str(out)]) for out in outs]
+        codes += [cli.main(["run", "--config", str(tmp_path / "no.yaml"), "--out", str(tmp_path / "o")])
+                  for _ in range(2)]
+        assert codes == [0, 0, 1, 1]
+        assert cli._build_parser.cache_info().misses == 1
+        for name in ("trajectory.csv", "events.json", "summary.json"):
+            assert read(outs[0] / name) == read(outs[1] / name)
+
     def test_timestamp_only_in_manifest(self, tmp_path):
         out = tmp_path / "r"
         cli.main(["run", "--config", cfg_path("interaction.yaml"), "--out", str(out)])

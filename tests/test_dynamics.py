@@ -16,8 +16,8 @@ import pytest
 
 from pulsecollapse.dynamics import (
     EnvelopeSchedule,
-    advance,
     FormationPolicy,
+    _advance_formation,
     drift_pulse,
     form_pulse,
     relative_intensity,
@@ -300,7 +300,7 @@ class TestFormation:
         assert np.all(growth >= 0)
         assert state.terms[0].brain.pulse.formation_stage > 0.999999
 
-    def test_advance_sets_coefficients_keeps_phantoms_and_widens_once(self):
+    def test_step_keeps_phantoms_and_widens_a_shared_pulse_once(self):
         """Two survivors share one forming pulse; a phantom term rides along untouched."""
         chosen = SingleState(kind=PulseKind.CONSCIOUS, index=120)
         two = SystemState(
@@ -314,25 +314,27 @@ class TestFormation:
         ready = SingleState(kind=PulseKind.READY, index=5)
         phantom = Term(apparatus_label=3, coefficient=0.1 + 0j, brain=ready, phantom=True)
         state = formed.with_terms(formed.terms + (phantom,))
-        nxt = advance(state, {1: 0.25j, 2: 0.3 + 0j}, 0.005)
+        nxt, _ = step(state, EnvelopeSchedule.hold(), 0.005)
         assert nxt.time == 1.0 + 0.005
-        assert [t.coefficient for t in nxt.terms] == [0.5 + 0j, 0.25j, 0.1 + 0j]
+        assert [t.coefficient for t in nxt.terms] == [0.5 + 0j, 0.5 + 0j, 0.1 + 0j]
         assert nxt.terms[2] is phantom
         pulse = nxt.terms[0].brain.pulse
         assert nxt.terms[1].brain.pulse is pulse
         assert pulse.formation_stage == 1.0 - math.exp(-0.005 / 0.05)
         assert np.count_nonzero(pulse.weights) == 5
 
-    def test_advance_under_hold_is_step_under_hold(self):
+    def test_step_under_hold_only_widens_the_forming_pulse(self):
+        """Under a hold, step keeps the coefficient and widens the pulse by one formation stage."""
         policy = FormationPolicy.staged(target_sigma=0.8, tau=0.05)
         state = form_pulse(self._post_reduction_state(), 120, policy)
+        pulse, t = state.terms[0].brain.pulse, state.time
         hold = EnvelopeSchedule.hold()
         for _ in range(20):
-            stepped, _ = step(state, hold, 0.005)
-            state = advance(state, {}, 0.005)
-            assert state.time == stepped.time
-            assert state.terms[0].coefficient == stepped.terms[0].coefficient
-            assert np.array_equal(state.terms[0].brain.pulse.weights, stepped.terms[0].brain.pulse.weights)
+            state, _ = step(state, hold, 0.005)
+            pulse, t = _advance_formation(pulse, 0.005), t + 0.005
+            assert state.time == t
+            assert state.terms[0].coefficient == 0.5 + 0j
+            assert np.array_equal(state.terms[0].brain.pulse.weights, pulse.weights)
 
     def test_not_post_reduction_rejected(self):
         state = two_term_state()

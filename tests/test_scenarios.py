@@ -72,6 +72,10 @@ LARGE_SEEDS = (2147483647, 2061012345, 1886280274, 1234567890, 987654321)
 # a ramp too weak to hit, so every row past the backbone is built without an event
 NO_HIT = {"envelope": {"fraction": 1e-9}}
 
+# 200.24 ramp steps rounded to 200 and no tail: the backbone takes one more step to reach t_end
+SHORT = {"envelope": {"t_end": 1.0012}, "scenario": {"tail_steps": 0}}
+SHORT_NO_HIT = {"envelope": {"t_end": 1.0012, "fraction": 1e-9}, "scenario": {"tail_steps": 0}}
+
 # events_digest of each batch config at its own seed and 10^5 trials
 GOLDEN_DIGESTS = {
     "interaction.yaml": "09cb6ed5a335e803ddd94370dac30992c108332b176e0de2f0d12975ef3aa3ee",
@@ -129,14 +133,17 @@ def stepped_backbone(cfg):
     ready = [n for n, t in enumerate(state.terms) if t.brain.is_ready and not t.phantom]
     times, total = [state.time], [total_square_modulus(state)]
     coeffs = [[t.coefficient for t in state.terms]]
+    sq_terms = [[t.square_modulus() for t in state.terms]]
     dst_factor = [schedule.envelope_factors(state.time)[1]]
-    step_mass, weights, norm_err = [], [], 0.0
-    for _ in range(sum(scenarios._scenario_step_counts(cfg))):
+    step_mass, weights, currents, norm_err = [], [], [], 0.0
+    for _ in range(scenarios._scenario_step_count(cfg)):
         state, report = dynamics.step(state, schedule, dt, guard=cfg.guard)
         step_mass.append(hit_probability(report, s, dt))
+        currents.append(report.per_term)
         weights.append(np.concatenate([np.clip(report.per_site[n], 0.0, None) * dt / s for n in ready]))
         times.append(state.time)
         coeffs.append([t.coefficient for t in state.terms])
+        sq_terms.append([t.square_modulus() for t in state.terms])
         total.append(total_square_modulus(state))
         dst_factor.append(schedule.envelope_factors(state.time)[1])
         for t in state.terms:
@@ -146,6 +153,8 @@ def stepped_backbone(cfg):
     return {
         "times": np.array(times),
         "coeffs": np.array(coeffs, dtype=np.complex128),
+        "sq_terms": np.array(sq_terms),
+        "currents": np.array(currents),
         "total_sq": total,
         "step_mass": np.array(step_mass),
         "cum_budget": np.cumsum(step_mass),
@@ -170,7 +179,7 @@ def stepped_trajectory(cfg, trial=0):
     rng = RngStream(cfg.seed, trial)
     u1 = rng.uniform()
     dt, s, grid = cfg.dt, state.s, state.grid
-    n_steps = sum(scenarios._scenario_step_counts(cfg))
+    n_steps = scenarios._scenario_step_count(cfg)
     t_off = cfg.get("turn_off.t_off")
     t_dis = cfg.get("disengage.t_dis")
     if cfg.name == "turn_off":
@@ -304,6 +313,20 @@ def stepped_drift(cfg):
     return {k: np.array(v) for k, v in log.items()}, summary
 
 
+def count_schedule_calls(monkeypatch):
+    """Count calls of EnvelopeSchedule.envelope_factors and .coefficients from now on."""
+    calls = {"envelope_factors": 0, "coefficients": 0}
+    for attr in calls:
+        method = getattr(dynamics.EnvelopeSchedule, attr)
+
+        def counted(self, *args, _attr=attr, _method=method):
+            calls[_attr] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(dynamics.EnvelopeSchedule, attr, counted)
+    return calls
+
+
 def config_variant(name, sections):
     """The bundled config ``name`` with the keys in ``sections`` ({section: {key: value}}) replaced."""
     raw = {k: dict(v) for k, v in bundled_config(name).raw.items()}
@@ -412,7 +435,7 @@ class TestBackbone:
         cfg = bundled_config(name)
         bb = build_backbone(cfg)
         ref = stepped_backbone(cfg)
-        for key in ("times", "coeffs", "total_sq", "step_mass", "cum_budget", "dst_factor"):
+        for key in ("times", "coeffs", "sq_terms", "currents", "total_sq", "step_mass", "cum_budget", "dst_factor"):
             assert np.array_equal(getattr(bb, key), ref[key]), key
         for biased in (False, True):
             w = ref["weights"] ** 2 if biased else ref["weights"]
@@ -446,6 +469,34 @@ class TestBackbone:
         assert scenarios._conservation_bound(1.0, 0.5) == tol
         assert scenarios._conservation_bound(0.25, 3.0) == 3.0 * tol
         assert scenarios._conservation_bound(1e18, 2.0) == tol * 2.0 * 1e18
+
+    @pytest.mark.parametrize("name", BACKBONE_CONFIGS)
+    def test_evaluates_the_envelope_once_per_time(self, name, monkeypatch):
+        """One envelope_factors call per backbone time; the coefficients are taken from it."""
+        calls = count_schedule_calls(monkeypatch)
+        bb = build_backbone(bundled_config(name))
+        assert calls == {"envelope_factors": len(bb.times), "coefficients": len(bb.times) - 1}
+
+    def test_short_ramp_backbone_reaches_t_end(self):
+        """With no tail, a ramp of 200.24 steps rounded to 200 takes one more step to reach
+        t_end: the transfer completes, every one of 10^6 trials reduces, and rows past the
+        backbone of a run without a hit keep the ramp's closed form."""
+        cfg = config_variant("observation_overlap.yaml", SHORT).with_overrides(trials=1_000_000)
+        bb = build_backbone(cfg)
+        assert len(bb.times) == 202
+        assert bb.times[-2] < cfg.data["envelope"]["t_end"] <= bb.times[-1]
+        assert bb.complete
+        _, batch = run_batch(cfg, backbone=bb)
+        assert batch.n_hits == cfg.trials
+        cfg = config_variant("disengage.yaml", SHORT_NO_HIT)
+        bb = build_backbone(cfg)
+        out = simulate_trajectory(cfg, backbone=bb)
+        assert out.event is None and len(out.log.times) > len(bb.times)
+        terms = bb.state0.terms
+        for t, row in zip(out.log.times, out.log.sq_terms):
+            pred = bb.schedule.predicted_coefficients(t)
+            want = [abs(pred.get(n, term.coefficient)) ** 2 * term.brain.norm_sq() for n, term in enumerate(terms)]
+            assert row.tolist() == want, t
 
     def test_fast_stepping_is_rejected(self, interaction_cfg, monkeypatch):
         """A per-step hit probability at or above the cap means dt is too coarse."""
@@ -675,24 +726,27 @@ class TestBatch:
 
     @pytest.mark.parametrize("name", BATCH_CONFIGS)
     def test_batch_kernel_matches_trajectories(self, name):
-        """Fed a trajectory's (u1, u2), the batch kernel hits the same step, term and site."""
-        cfg = bundled_config(name)
-        bb = build_backbone(cfg)
-        cdf, total = cdfs(bb)
-        labels = [bb.state0.terms[n].apparatus_label for n in bb.ready_ids]
-        for trial in range(20):
-            out = simulate_trajectory(cfg, trial=trial)
-            ev = out.event
-            u1, u2 = ev.rng_draws if ev else (RngStream(cfg.seed, trial).uniform(), 0.5)
-            hits = place_hits(bb, cdf, total, np.array([[u1, u2, 0.5]]))
-            assert len(hits.trial) == (ev is not None)
-            if ev is None:
-                continue
-            assert hits.t_sc[0] == ev.t_sc
-            assert (hits.term_hit[0], hits.u_sc[0]) == (ev.term_hit, ev.u_sc)
-            for col, label in enumerate(labels):
-                want = ev.post_coefficients.get(label, 0j)
-                assert abs(hits.survivor_coeffs[0, col] - want) <= 1e-12
+        """Fed a trajectory's (u1, u2), the batch kernel hits the same step, term and site,
+        with the same pre-hit norm and ramp progress; also on a backbone with no tail."""
+        for cfg, trials in ((bundled_config(name), 20), (config_variant(name, SHORT), 5)):
+            bb = build_backbone(cfg)
+            cdf, total = cdfs(bb)
+            labels = [bb.state0.terms[n].apparatus_label for n in bb.ready_ids]
+            for trial in range(trials):
+                out = simulate_trajectory(cfg, trial=trial)
+                ev = out.event
+                u1, u2 = ev.rng_draws if ev else (RngStream(cfg.seed, trial).uniform(), 0.5)
+                hits = place_hits(bb, cdf, total, np.array([[u1, u2, 0.5]]))
+                assert len(hits.trial) == (ev is not None)
+                if ev is None:
+                    continue
+                assert hits.t_sc[0] == ev.t_sc
+                assert (hits.term_hit[0], hits.u_sc[0]) == (ev.term_hit, ev.u_sc)
+                assert hits.pre_norm[0] == ev.pre_norm
+                assert hits.ramp_progress[0] == ev.ramp_progress
+                for col, label in enumerate(labels):
+                    want = ev.post_coefficients.get(label, 0j)
+                    assert abs(hits.survivor_coeffs[0, col] - want) <= 1e-12
 
 
 class TestTrajectory:
@@ -760,6 +814,9 @@ class TestTrajectory:
         if name in ("turn_off_overlap.yaml", "disengage.yaml", "fade_in.yaml"):
             # the scenarios with rows past the backbone also run without a hit
             runs += [(no_hit, trial) for trial in range(3)]
+        # a backbone with no tail, which takes one step past the rounded ramp to reach t_end
+        runs += [(config_variant(name, SHORT), trial) for trial in range(3)]
+        runs += [(config_variant(name, SHORT_NO_HIT), trial) for trial in range(2)]
         for c, trial in runs:
             out = simulate_trajectory(c, trial=trial, backbone=bb if c is cfg else None)
             log, event, extras = stepped_trajectory(c, trial)
@@ -772,8 +829,8 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("name", TRAJECTORY_CONFIGS)
     def test_never_calls_step(self, name, monkeypatch):
-        """Rows up to the hit come from the backbone and every later row from
-        dynamics.advance, with a hit and without one: step is never called."""
+        """Rows up to the hit come from the backbone and every later row from carried
+        values, with a hit and without one: step is never called."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("simulate_trajectory called step")
@@ -782,6 +839,16 @@ class TestTrajectory:
         monkeypatch.setattr(dynamics, "step", refuse)
         assert simulate_trajectory(bundled_config(name)).event is not None
         assert simulate_trajectory(config_variant(name, NO_HIT)).event is None
+
+    @pytest.mark.parametrize("name", TRAJECTORY_CONFIGS)
+    def test_never_evaluates_the_envelope(self, name, monkeypatch):
+        """Given its backbone, a trajectory reads the ramp from it alone, with a hit and without one."""
+        for variant, hit in (({}, True), (NO_HIT, False)):
+            cfg = config_variant(name, variant)
+            bb = build_backbone(cfg)
+            calls = count_schedule_calls(monkeypatch)
+            assert (simulate_trajectory(cfg, backbone=bb).event is not None) == hit
+            assert calls == {"envelope_factors": 0, "coefficients": 0}
 
     @pytest.mark.parametrize("name", TRAJECTORY_CONFIGS)
     def test_builds_no_state_per_row(self, name, monkeypatch):
@@ -820,23 +887,6 @@ class TestTrajectory:
         monkeypatch.setattr(scenarios, "_carried_factors", off_norms)
         with pytest.raises(InvariantBreach, match="trajectory-rows"):
             simulate_trajectory(bundled_config("interaction.yaml"))
-
-    def test_rows_past_a_short_backbone_follow_the_ramp(self):
-        """With no hit, rows past a backbone that ends short of t_end (200.24 ramp steps
-        rounded to 200, no tail) keep the ramp's closed-form coefficients rather than
-        the backbone's last row."""
-        cfg = config_variant("disengage.yaml", {"envelope": {"fraction": 1e-9, "t_end": 1.0012},
-                                                "scenario": {"tail_steps": 0}})
-        bb = build_backbone(cfg)
-        out = simulate_trajectory(cfg, backbone=bb)
-        assert out.event is None
-        assert bb.times[-1] < cfg.data["envelope"]["t_end"] < out.log.times[len(bb.times)]
-        terms = bb.state0.terms
-        for t, row in zip(out.log.times, out.log.sq_terms):
-            pred = bb.schedule.predicted_coefficients(t)
-            want = [abs(pred.get(n, term.coefficient)) ** 2 * term.brain.norm_sq() for n, term in enumerate(terms)]
-            assert row.tolist() == want, t
-        assert np.any(out.log.currents[len(bb.times)] != 0.0)
 
     def test_pulse_drift_rejected_by_ramp_driver(self):
         cfg = bundled_config("pulse_drift.yaml")
