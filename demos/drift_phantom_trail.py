@@ -4,7 +4,9 @@ The pulse moves at constant velocity while shedding a small fraction of
 square modulus per step into a ready shadow. Shadow sites the flow has
 abandoned freeze: their amplitudes are recorded at freeze time and the
 maximum later drift is reported (the invariant demands < 1e-12). The
-intra-ready transfer guard stays armed the whole run.
+drift schedules no ready-to-ready transfer, so it reports no rule-4
+violation; the ``intra_ready_transfer`` control, which schedules one, is
+refused before its first step.
 """
 
 from importlib import resources
@@ -26,7 +28,7 @@ def main():
     print(f"phantom trail sites: {s['phantom_trail_count']}")
     print(f"max phantom amplitude drift: {s['max_phantom_drift']:.3e}")
     print(f"max conservation drift:      {s['max_conservation_drift']:.3e}")
-    print(f"rule-4 violations with guard on: {s['rule4_violations']}")
+    print(f"rule-4 violations: {s['rule4_violations']}")
     print(f"square modulus: conscious {s['conscious_square_modulus']:.6f}, "
           f"shadow {s['shadow_square_modulus']:.6f}")
 

@@ -63,7 +63,7 @@ def compare(
     """
     n = int(n_trials)
     if n < min_trials:
-        raise TooFewTrials(f"{n} trials < required {min_trials}")
+        raise TooFewTrials(f"{n} samples < required {min_trials}")
     if not 0.0 <= closed_form <= 1.0:
         raise ValueError(f"closed form {closed_form} outside [0, 1]")
     empirical = float(successes) / n

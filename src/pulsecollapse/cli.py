@@ -4,11 +4,10 @@ Subcommands: ``run`` (one trajectory, full artifact set), ``montecarlo``
 (batch trials with closed-form comparisons), ``verify`` (invariant suite
 over bundled or given configs).
 
-Every flag can also come from an environment variable with the
+The value flags can also come from an environment variable with the
 ``PULSECOLLAPSE_`` prefix (PULSECOLLAPSE_CONFIG, PULSECOLLAPSE_SEED,
-PULSECOLLAPSE_TRIALS, PULSECOLLAPSE_OUT, PULSECOLLAPSE_GUARD,
-PULSECOLLAPSE_FORMATION). Flags win over environment, environment over the
-config file.
+PULSECOLLAPSE_TRIALS, PULSECOLLAPSE_OUT, PULSECOLLAPSE_FORMATION). Flags
+win over environment, environment over the config file.
 
 Exit codes: 0 success, 1 configuration error, 2 invariant breach (the
 violated invariant is named on stderr), 3 statistical failure.
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig, load_config
-from .errors import ConfigError, InvariantBreach, SimulationError
+from .errors import ConfigError, InvariantBreach, SimulationError, TooFewEvents, TooFewTrials
 from .scenarios import SCENARIOS, TrajectoryLog, run_scenario, simulate_trajectory
 
 ENV_PREFIX = "PULSECOLLAPSE_"
@@ -63,7 +62,6 @@ class RunManifest:
     seed: int
     n_trials: int
     out_dir: str
-    guard: bool
     formation_mode: Optional[str]
     emit_trajectory: bool
     emit_events: bool
@@ -144,7 +142,6 @@ def _manifest(args, cfg: ScenarioConfig, command: str) -> RunManifest:
         seed=cfg.seed,
         n_trials=cfg.trials,
         out_dir=args.out,
-        guard=cfg.guard,
         formation_mode=cfg.get("formation.mode"),
         emit_trajectory=not args.no_trajectory,
         emit_events=not args.no_events,
@@ -172,18 +169,13 @@ def _resolve_config(args) -> ScenarioConfig:
 
     seed = args.seed if args.seed is not None else _env("SEED")
     trials = args.trials if args.trials is not None else _env("TRIALS")
-    guard = args.guard if args.guard is not None else _env("GUARD")
     formation = args.formation if args.formation is not None else _env("FORMATION")
     try:
         seed = int(seed) if seed is not None else None
         trials = int(trials) if trials is not None else None
     except ValueError as exc:
         raise ConfigError(f"override must be an integer: {exc}")
-    if guard is not None and guard not in ("on", "off"):
-        raise ConfigError(f"guard must be on or off, got {guard!r}")
-    return cfg.with_overrides(
-        seed=seed, trials=trials, guard=guard, formation_mode=formation
-    )
+    return cfg.with_overrides(seed=seed, trials=trials, formation_mode=formation)
 
 
 def _resolve_out(args) -> None:
@@ -275,7 +267,10 @@ def cmd_montecarlo(args) -> int:
     _prepare_out(args.out, args.force)
     manifest = _manifest(args, cfg, "montecarlo")
 
-    result = run_scenario(cfg)
+    try:
+        result = run_scenario(cfg)
+    except (TooFewTrials, TooFewEvents) as exc:
+        raise ConfigError(f"scenario.trials = {cfg.trials} gives too few hits for the statistics: {exc}")
     failures = _montecarlo_passes(result.summary)
     report = {
         "scenario": cfg.name,
@@ -359,12 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override scenario.seed")
         p.add_argument("--trials", type=int, default=None, help="override scenario.trials")
         p.add_argument("--out", default=None, help="output directory (default: out)")
-        p.add_argument(
-            "--guard",
-            choices=("on", "off"),
-            default=None,
-            help="ready-to-ready transfer guard",
-        )
         p.add_argument(
             "--formation",
             choices=("instant", "staged"),

@@ -27,7 +27,6 @@ _BASE_SCHEMA: Dict[str, Dict[str, type]] = {
         "seed": int,
         "dt": float,
         "trials": int,
-        "guard": bool,
         "tail_steps": int,
     },
     "grid": {"n_points": int, "spacing": float, "origin": float},
@@ -98,7 +97,6 @@ _REQUIRED_KEYS = {
 
 _DEFAULTS = {
     ("scenario", "trials"): 100_000,
-    ("scenario", "guard"): True,
     ("scenario", "tail_steps"): 20,
     ("grid", "origin"): 0.0,
     ("envelope", "fraction"): 1.0,
@@ -171,14 +169,10 @@ class ScenarioConfig:
     def trials(self) -> int:
         return self.data["scenario"]["trials"]
 
-    @property
-    def guard(self) -> bool:
-        return self.data["scenario"]["guard"]
-
     def with_overrides(self, **scalar_overrides) -> "ScenarioConfig":
         """New config with scenario/formation scalars replaced, checked as a parsed one is.
 
-        Recognized names: seed, trials, guard, formation_mode.
+        Recognized names: seed, trials, formation_mode.
         """
         data = copy.deepcopy(self.data)
         for name, value in scalar_overrides.items():
@@ -188,8 +182,6 @@ class ScenarioConfig:
                 data["scenario"]["seed"] = int(value)
             elif name == "trials":
                 data["scenario"]["trials"] = int(value)
-            elif name == "guard":
-                data["scenario"]["guard"] = _coerce("scenario", "guard", bool, value)
             elif name == "formation_mode":
                 if "formation" not in data:
                     raise ConfigError(

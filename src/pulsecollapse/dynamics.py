@@ -2,11 +2,11 @@
 
 Envelope schedules move square modulus between terms in closed form (exact
 norm conservation, no accumulated integration error); ``step`` checks a
-schedule against the state, advances it by dt and reports the probability
-currents the reduction engine consumes; a trajectory past its hit runs
-only the formation stage of it, ``_advance_formation``. Pulse formation
-after a hit and
-conscious-pulse drift with a ready shadow live here too. Drift runs on
+schedule against the state, advances it by dt and reports its probability
+currents. No driver calls ``step``: the tests step it as the reference the
+closed-form backbone must equal, and a trajectory past its hit runs only
+its formation stage, ``_advance_formation``. Pulse formation after a hit
+and conscious-pulse drift with a ready shadow live here too. Drift runs on
 plain arrays in ``DriftKernel``, with its loop invariants computed once;
 ``drift_pulse`` is one kernel step on a state, and ``drifted_state``
 rebuilds a state from the kernel's arrays through the validating
@@ -340,16 +340,15 @@ def step(
     state: SystemState,
     schedule: EnvelopeSchedule,
     dt: float,
-    guard: bool = True,
 ) -> Tuple[SystemState, CurrentReport]:
     """Advance the state by dt under a schedule; report currents.
 
     Raises PhantomTransfer if the schedule touches a phantom term,
-    Rule4Violation when the guard is on and the schedule routes current
-    between ready factors of one observer, StepTooLarge when dt exceeds
-    1/100 of an active ramp window, and ScheduleStateMismatch when the
-    state's coefficients do not match the schedule's prediction at the
-    current time (e.g. after a reduction zeroed a scheduled term).
+    Rule4Violation when the schedule routes current between ready factors
+    of one observer, StepTooLarge when dt exceeds 1/100 of an active ramp
+    window, and ScheduleStateMismatch when the state's coefficients do not
+    match the schedule's prediction at the current time (e.g. after a
+    reduction zeroed a scheduled term).
     """
     if not dt > 0:
         raise SimulationError(f"dt must be positive, got {dt}")
@@ -366,10 +365,9 @@ def step(
         for d in tr.dsts:
             if not state.terms[d].brain.is_ready:
                 raise Rule2Violation(f"scheduled destination term {d} is not a ready factor")
-    if guard:
-        pairs = rule4_pairs(state, schedule)
-        if pairs:
-            raise Rule4Violation(pairs)
+    pairs = rule4_pairs(state, schedule)
+    if pairs:
+        raise Rule4Violation(pairs)
 
     predicted_now = schedule.predicted_coefficients(t0)
     for idx, expect in predicted_now.items():

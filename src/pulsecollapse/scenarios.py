@@ -35,8 +35,8 @@ certain (float telescoping can leave ~1e-15 behind).
 arrays, audits phantom freeze and conservation on them each step, and
 builds the final state once. Its two negative controls are named hooks
 outside the kernel: ``_tamper_phantom`` moves one frozen amplitude, and
-``_ready_transfer_injection`` schedules a ready-to-ready ramp that is
-stepped beside the drift.
+``_ready_transfer_injection`` schedules a ready-to-ready ramp whose rule-4
+pairs refuse the run before its first drift step.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .dynamics import (
     drifted_state,
     form_pulse,
     rule4_pairs,
-    step,
 )
 from .errors import (
     CenterOutOfRange,
@@ -116,6 +115,7 @@ BUDGET_RESIDUAL_TOL = 1e-12
 CONSERVATION_TOL = 1e-9
 NORM_TOL = 1e-9
 PHANTOM_FREEZE_TOL = 1e-12
+PROVENANCE_TOL = 1e-12
 CHUNK_TRIALS = 1 << 16  # trials drawn and placed at a time by run_batch
 HIT_STEP_BUCKETS = 1 << 12  # buckets of the hit-step table: a power of two, so u * buckets is exact
 SAMPLE_EVENTS = 32  # leading events a batch materializes for logs
@@ -387,17 +387,17 @@ def build_backbone(cfg: ScenarioConfig) -> Backbone:
     """Evaluate the envelope's closed form on the time grid, with its hit budget.
 
     Before a hit only the scheduled coefficients move and every brain factor
-    is static, so the values equal those of ``step`` applied step by step,
-    and its per-step checks (rule-4 guard, hit-rate cap, conservation, pulse
-    norm) run once on whole arrays. One ``envelope_factors`` call per time
-    gives both its coefficients and its ``dst_factor``.
+    is static, so the values equal those of ``step`` applied step by step.
+    The schedule's rule-4 check runs once, first, and the per-step checks
+    (hit-rate cap, conservation, pulse norm) once on whole arrays. One
+    ``envelope_factors`` call per time gives both its coefficients and its
+    ``dst_factor``.
     """
     n_steps = _scenario_step_count(cfg)
     state0, schedule = build_initial(cfg)
-    if cfg.guard:
-        pairs = rule4_pairs(state0, schedule)
-        if pairs:
-            raise Rule4Violation(pairs)
+    pairs = rule4_pairs(state0, schedule)
+    if pairs:
+        raise Rule4Violation(pairs)
     dt, s = cfg.dt, state0.s
     ready_ids, ready_amps = _hit_targets(state0)
 
@@ -631,7 +631,9 @@ def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple
     memory does not grow with the trial count. ``events_digest`` is a
     sha256 over per-trial records in trial order, whatever the chunk size;
     one helper thread hashes a chunk's records while the next chunk is
-    placed. A grid whose site tables (steps x ready terms x sites x 8 B)
+    placed. Survivor coefficients that differ from the schedule's
+    a_i(t_sc) * w_i(u_sc) by more than PROVENANCE_TOL breach "provenance".
+    A grid whose site tables (steps x ready terms x sites x 8 B)
     would exceed MAX_SITE_TABLE_BYTES is refused before anything grid-sized
     is made.
     """
@@ -694,6 +696,10 @@ def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple
                 known[k] = True
             recomputed = np.take(scheduled, p.step, axis=0) * np.take(site_amps, sites, axis=0)
             prov_err = max(prov_err, float(np.max(np.abs(recomputed - surv), initial=0.0)))
+            if prov_err > PROVENANCE_TOL:
+                raise InvariantBreach(
+                    "provenance", f"survivor coefficients differ from the schedule's by {prov_err:.3e}"
+                )
             mult_counts += np.bincount(sum(amp.T > 0), minlength=len(ready) + 1)
             born = np.where(post > 0, w[:, spot_col] / np.where(post > 0, post, 1.0), 0.0)
             spot_count += int(np.count_nonzero(draws[p.trial, 2] < born))
@@ -1103,13 +1109,13 @@ def run_disengage(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
-def _ready_transfer_injection(state: SystemState, dt: float, duration: float):
+def _ready_transfer_injection(state: SystemState):
     """Negative control: two empty ready single states of the drift's observer,
     appended after its terms, with a ramp scheduled from one to the other.
 
-    Returns the hook's own state and schedule. Only the injected terms move;
-    the drift's terms stand in at their initial values so that the rule-4
-    pair names the same term indices as in the drift state.
+    Returns the hook's own state and schedule, which are checked and never
+    stepped. The drift's terms stand in at their initial values so that the
+    rule-4 pair names the same term indices as in the drift state.
     """
     extras = (
         Term(apparatus_label=3, coefficient=0j, brain=SingleState(kind=PulseKind.READY, index=1)),
@@ -1117,10 +1123,7 @@ def _ready_transfer_injection(state: SystemState, dt: float, duration: float):
     )
     hook = state.with_terms(tuple(state.terms) + extras)
     n = len(hook.terms)
-    schedule = EnvelopeSchedule.trig(
-        hook, [(n - 2, (n - 1,))], t_start=0.0, t_end=max(duration, 100 * dt)
-    )
-    return hook, schedule
+    return hook, EnvelopeSchedule.trig(hook, [(n - 2, (n - 1,))], t_start=0.0, t_end=1.0)
 
 
 def _tamper_phantom(weights: np.ndarray, phantom: np.ndarray) -> np.ndarray:
@@ -1138,12 +1141,11 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
     Runs ``DriftKernel`` on plain arrays and builds the state only at the
     end. Trailing shadow sites freeze into phantoms; their amplitudes must
     stay constant to the last bit modulo renormalization rounding (audited
-    at 1e-12). Two negative controls hook into the loop: ``tamper_phantom``
-    moves one frozen amplitude at step 3/5 of the run (a ConfigError when
-    the shadow has no phantom site there to move), and
-    ``intra_ready_transfer`` steps an injected ready-to-ready ramp before
-    each drift step; with the guard off the violation is surfaced after
-    the run and the run aborted.
+    at 1e-12). Two negative controls: ``tamper_phantom`` moves one frozen
+    amplitude at step 3/5 of the run (a ConfigError when the shadow has no
+    phantom site there to move), and ``intra_ready_transfer`` schedules an
+    injected ready-to-ready ramp whose rule-4 pairs refuse the run before
+    its first drift step.
     """
     state, _ = build_initial(cfg)
     dr = cfg.data["drift"]
@@ -1164,9 +1166,10 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
         np.zeros(n_points, dtype=bool),
     )
 
-    hook = None
     if cfg.data["debug"]["intra_ready_transfer"]:
-        hook, injected = _ready_transfer_injection(state, dt, dr["duration"])
+        pairs = rule4_pairs(*_ready_transfer_injection(state))
+        if pairs:
+            raise Rule4Violation(pairs)
     tamper_step = n_steps * 3 // 5 if cfg.data["debug"]["tamper_phantom"] else None
 
     frozen = np.zeros(n_points)
@@ -1184,8 +1187,6 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
     tot_rows = [total0]
 
     for i in range(n_steps):
-        if hook is not None:
-            hook, _report = step(hook, injected, dt, guard=cfg.guard)
         if velocity != 0.0:
             arrays = kernel.step(*arrays)
             t = t + dt
@@ -1220,10 +1221,6 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
             f"debug.tamper_phantom did not fire: the shadow had no phantom site at step "
             f"{tamper_step} of {n_steps}"
         )
-    if hook is not None:
-        pairs = rule4_pairs(hook, injected)
-        if pairs:
-            raise Rule4Violation(pairs)
 
     if max_phantom_drift >= PHANTOM_FREEZE_TOL:
         raise InvariantBreach(

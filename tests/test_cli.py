@@ -4,6 +4,7 @@ All invocations go through cli.main(argv) in process; exit codes follow
 the contract 0 ok / 1 config / 2 invariant / 3 statistics.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,7 +21,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsecollapse import cli, config, scenarios
+from pulsecollapse import cli, config, dynamics, scenarios
 from pulsecollapse.analysis import compare, hit_histogram
 
 CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
@@ -71,6 +72,29 @@ def write_yaml(tmp_path, name, mapping):
 def load_yaml(name):
     with open(cfg_path(name)) as fh:
         return yaml.safe_load(fh)
+
+
+BATCH_CONFIGS = [n for n in cli.BUNDLED_CONFIGS if scenarios.SCENARIOS[load_yaml(n)["scenario"]["name"]].batch]
+
+# stderr of the intra_ready_transfer control, from `run` and from `verify`
+INJECTED_ERR = (
+    "invariant breach: Rule4Violation: transfer between ready factors of the same observer: "
+    "term 2 -> term 3 (observer 'obs')\n"
+)
+
+
+def refuse_stepping(monkeypatch, *owners):
+    """Make ``dynamics.step``, wherever a package module holds it, and each
+    ``owner.step`` given, fail the test when called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stepped")
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "pulsecollapse" and getattr(mod, "step", None) is dynamics.step:
+            monkeypatch.setattr(mod, "step", refuse)
+    for owner in owners:
+        monkeypatch.setattr(owner, "step", refuse)
 
 
 class TestRun:
@@ -324,13 +348,56 @@ class TestExitCodes:
         assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert "debug.tamper_phantom" in capsys.readouterr().err
 
-    def test_guard_off_drift_injection_exits_2_naming_rule4(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_drift_injection_exits_2_before_any_step(self, command, tmp_path, capsys, monkeypatch):
+        """The rule-4 control is refused from its schedule alone: neither the drift kernel
+        nor ``dynamics.step`` runs, and stderr names the injected pair."""
+        refuse_stepping(monkeypatch, dynamics.DriftKernel)
         mapping = load_yaml("pulse_drift.yaml")
         mapping["debug"] = {"intra_ready_transfer": True}
         path = write_yaml(tmp_path, "inj.yaml", mapping)
-        code = cli.main(["run", "--config", path, "--guard", "off", "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "Rule4Violation" in capsys.readouterr().err
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == INJECTED_ERR
+
+    def test_guard_is_an_unknown_flag_and_key(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["run", "--config", cfg_path("interaction.yaml"), "--guard", "off", "--out", str(tmp_path / "a")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --guard off" in capsys.readouterr().err
+        mapping = load_yaml("interaction.yaml")
+        mapping["scenario"]["guard"] = True
+        path = write_yaml(tmp_path, "guard.yaml", mapping)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "b")]) == 1
+        assert capsys.readouterr().err == "config error: unknown config key scenario.guard\n"
+
+    @pytest.mark.parametrize("command", ["montecarlo", "verify"])
+    def test_provenance_breach_exits_2_naming_it(self, command, tmp_path, capsys, monkeypatch):
+        """Survivors built from coefficient rows one step off the schedule fail the 1e-12 gate."""
+        build = scenarios.build_backbone
+
+        def shifted(cfg):
+            bb = build(cfg)
+            return dataclasses.replace(bb, coeffs=np.roll(bb.coeffs, -1, axis=0))
+
+        monkeypatch.setattr(scenarios, "build_backbone", shifted)
+        argv = [command, "--config", cfg_path("observation_overlap.yaml"), "--out", str(tmp_path / "o")]
+        assert cli.main(argv + (["--trials", "1000"] if command == "montecarlo" else [])) == 2
+        assert capsys.readouterr().err.startswith("invariant breached: provenance (")
+
+    @pytest.mark.parametrize("name, fraction, detail", [
+        ("interaction_halted.yaml", 1e-6, "0 reduction events < required 100"),
+        ("turn_off_overlap.yaml", 0.0005, "0 samples < required 1000"),
+    ])
+    def test_too_few_hits_exits_1_naming_trials(self, name, fraction, detail, tmp_path, capsys):
+        """A valid config whose batch has too few hits for the statistics asks for more trials."""
+        mapping = load_yaml(name)
+        mapping["envelope"]["fraction"] = fraction
+        path = write_yaml(tmp_path, "few.yaml", mapping)
+        argv = ["montecarlo", "--config", path, "--trials", "1000", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"config error: scenario.trials = 1000 gives too few hits for the statistics: {detail}\n"
+        )
 
     def test_coarse_grid_exits_1_naming_it(self, tmp_path, capsys):
         mapping = load_yaml("interaction.yaml")
@@ -459,6 +526,25 @@ def test_any_single_bad_value_ends_in_an_exit_code(case):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+class TestNeverSteps:
+    """No subcommand calls ``dynamics.step``: the backbone, the trajectory rows and the
+    drift are computed without it."""
+
+    @pytest.mark.parametrize("name", cli.BUNDLED_CONFIGS)
+    def test_run(self, name, tmp_path, monkeypatch):
+        refuse_stepping(monkeypatch)
+        assert cli.main(["run", "--config", cfg_path(name), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("name", BATCH_CONFIGS)
+    def test_montecarlo(self, name, tmp_path, monkeypatch):
+        refuse_stepping(monkeypatch)
+        assert cli.main(["montecarlo", "--config", cfg_path(name), "--trials", "1000", "--out", str(tmp_path)]) == 0
+
+    def test_verify(self, tmp_path, monkeypatch):
+        refuse_stepping(monkeypatch)
+        assert cli.main(["verify", "--out", str(tmp_path)]) == 0
 
 
 class TestMontecarlo:

@@ -47,7 +47,6 @@ class TestParsing:
         cfg = parse_config(minimal_interaction())
         assert cfg.name == "interaction"
         assert cfg.trials == 100_000
-        assert cfg.guard is True
         assert cfg.data["scenario"]["tail_steps"] == 20
         assert cfg.data["grid"]["origin"] == 0.0
         assert cfg.data["envelope"]["fraction"] == 1.0
@@ -114,9 +113,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="scenario.seed"):
             parse_config(minimal_interaction(scenario__seed="abc"))
 
-    def test_guard_accepts_on_off_strings(self):
-        cfg = parse_config(minimal_interaction(scenario__guard="off"))
-        assert cfg.guard is False
+    def test_guard_is_an_unknown_key(self):
+        """Rule 4 is always enforced, so no key or override switches it."""
+        with pytest.raises(ConfigError, match=r"^unknown config key scenario\.guard$"):
+            parse_config(minimal_interaction(scenario__guard=True))
+        with pytest.raises(ConfigError, match="unknown override 'guard'"):
+            parse_config(minimal_interaction()).with_overrides(guard="off")
 
 
 class TestValueChecks:
@@ -187,10 +189,9 @@ class TestValueChecks:
 class TestOverrides:
     def test_with_overrides_replaces_scalars(self):
         cfg = parse_config(minimal_interaction())
-        out = cfg.with_overrides(seed=99, trials=500, guard="off")
+        out = cfg.with_overrides(seed=99, trials=500)
         assert out.seed == 99
         assert out.trials == 500
-        assert out.guard is False
         # original untouched
         assert cfg.seed == 11
 

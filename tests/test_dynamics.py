@@ -216,22 +216,6 @@ class TestStep:
         assert "observer" in str(err.value)
         assert rule4_pairs(state, sch)
 
-    def test_guard_off_executes_without_raising(self):
-        r1 = SingleState(kind=PulseKind.READY, index=10)
-        r2 = SingleState(kind=PulseKind.READY, index=20)
-        state = SystemState(
-            terms=(
-                Term(apparatus_label=1, coefficient=1 + 0j, brain=r1),
-                Term(apparatus_label=2, coefficient=0j, brain=r2),
-            ),
-            s=1.0,
-            time=0.0,
-            grid=GRID,
-        )
-        sch = EnvelopeSchedule.trig(state, [(0, (1,))], t_start=0.0, t_end=1.0)
-        state2, _ = step(state, sch, 0.005, guard=False)
-        assert state2.time == pytest.approx(0.005)
-
     def test_different_observers_not_rule4(self):
         """The same transfer across distinct observers is allowed."""
         r1 = SingleState(kind=PulseKind.READY, index=10, observer_id="alice")

@@ -137,7 +137,7 @@ def stepped_backbone(cfg):
     dst_factor = [schedule.envelope_factors(state.time)[1]]
     step_mass, weights, currents, norm_err = [], [], [], 0.0
     for _ in range(scenarios._scenario_step_count(cfg)):
-        state, report = dynamics.step(state, schedule, dt, guard=cfg.guard)
+        state, report = dynamics.step(state, schedule, dt)
         step_mass.append(hit_probability(report, s, dt))
         currents.append(report.per_term)
         weights.append(np.concatenate([np.clip(report.per_site[n], 0.0, None) * dt / s for n in ready]))
@@ -206,7 +206,7 @@ def stepped_trajectory(cfg, trial=0):
 
     for _ in range(n_steps):
         before = state
-        state, report = dynamics.step(state, active, dt, guard=cfg.guard)
+        state, report = dynamics.step(state, active, dt)
         if event is None:
             p = hit_probability(report, s, dt)
             assert p < MAX_STEP_HIT_PROBABILITY
@@ -554,14 +554,15 @@ class TestBatch:
                 assert hits.survivor_coeffs[j, col] == want
 
     def test_provenance_gate_catches_shifted_coefficients(self, observation_overlap_cfg):
-        """Survivors built from coefficient rows one step off fail the 1e-12 provenance check."""
+        """Survivors built from coefficient rows one step off breach the 1e-12 provenance check."""
         cfg = small(observation_overlap_cfg)
         bb = build_backbone(cfg)
         _, batch = run_batch(cfg, backbone=bb)
         assert batch.max_provenance_error <= 1e-12
         shifted = dataclasses.replace(bb, coeffs=np.roll(bb.coeffs, -1, axis=0))
-        _, bad = run_batch(cfg, backbone=shifted)
-        assert bad.max_provenance_error > 1e-12
+        with pytest.raises(InvariantBreach) as info:
+            run_batch(cfg, backbone=shifted)
+        assert info.value.invariant == "provenance"
 
     def test_site_pick_targets_only_ready_support(self, interaction_cfg, monkeypatch):
         """Both drivers pick a non-phantom ready term at a site where it has weight:
@@ -835,7 +836,7 @@ class TestTrajectory:
         def refuse(*args, **kwargs):
             raise AssertionError("simulate_trajectory called step")
 
-        monkeypatch.setattr(scenarios, "step", refuse)
+        assert not hasattr(scenarios, "step")
         monkeypatch.setattr(dynamics, "step", refuse)
         assert simulate_trajectory(bundled_config(name)).event is not None
         assert simulate_trajectory(config_variant(name, NO_HIT)).event is None
@@ -925,17 +926,8 @@ class TestDriftScenario:
         assert info.value.invariant == "phantom-freeze"
         assert str(info.value) == "invariant breached: phantom-freeze (phantom amplitude moved by 1.251e-07)"
 
-    def test_injected_ready_transfer_is_caught_without_guard(self):
-        """Guard off: the violation is surfaced after the run and aborted."""
-        cfg = bundled_config("pulse_drift.yaml")
-        raw = {k: dict(v) for k, v in cfg.raw.items()}
-        raw["debug"] = {"intra_ready_transfer": True}
-        raw["scenario"]["guard"] = False
-        with pytest.raises(Rule4Violation, match=INJECTED_PAIR):
-            run_pulse_drift(parse_config(raw))
-
     def test_injected_ready_transfer_is_blocked_with_guard(self, monkeypatch):
-        """Guard on: the scheduled step itself refuses to run, before any drift step."""
+        """The injected schedule's rule-4 pairs refuse the run before any drift step."""
         drifted = []
         kernel_step = dynamics.DriftKernel.step
         monkeypatch.setattr(dynamics.DriftKernel, "step", lambda *a: drifted.append(1) or kernel_step(*a))
