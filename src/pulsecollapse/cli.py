@@ -7,7 +7,13 @@ over bundled or given configs).
 The value flags can also come from an environment variable with the
 ``PULSECOLLAPSE_`` prefix (PULSECOLLAPSE_CONFIG, PULSECOLLAPSE_SEED,
 PULSECOLLAPSE_TRIALS, PULSECOLLAPSE_OUT, PULSECOLLAPSE_FORMATION). Flags
-win over environment, environment over the config file.
+win over environment, environment over the config file. Any other
+variable with the prefix is a configuration error, as an unknown flag or
+config key is.
+
+The output directory is checked before a command runs (it must be empty
+unless ``--force``) and created only when the first file is written, so a
+refused run leaves no directory behind.
 
 Exit codes: 0 success, 1 configuration error, 2 invariant breach (the
 violated invariant is named on stderr), 3 statistical failure.
@@ -37,6 +43,7 @@ from .errors import ConfigError, InvariantBreach, SimulationError, TooFewEvents,
 from .scenarios import SCENARIOS, TrajectoryLog, run_scenario, simulate_trajectory
 
 ENV_PREFIX = "PULSECOLLAPSE_"
+ENV_NAMES = ("CONFIG", "SEED", "TRIALS", "OUT", "FORMATION")  # each read as ENV_PREFIX + name
 
 BUNDLED_CONFIGS = (
     "interaction.yaml",
@@ -126,12 +133,20 @@ def _event_record(event) -> Dict:
     }
 
 
-def _prepare_out(out_dir: str, force: bool) -> None:
+def _check_out(out_dir: str, force: bool) -> None:
+    """Refuse an output path that is a file, or a non-empty directory without ``--force``."""
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ConfigError(f"output path {out_dir!r} is not a directory")
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise ConfigError(
             f"output directory {out_dir!r} is not empty; pass --force to overwrite"
         )
+
+
+def _out_file(out_dir: str, name: str) -> str:
+    """The path of one output file, creating the directory on the first write."""
     os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
 
 
 def _manifest(args, cfg: ScenarioConfig, command: str) -> RunManifest:
@@ -158,6 +173,16 @@ def _manifest(args, cfg: ScenarioConfig, command: str) -> RunManifest:
 
 def _env(name: str) -> Optional[str]:
     return os.environ.get(ENV_PREFIX + name)
+
+
+def _check_env() -> None:
+    """Refuse a ``PULSECOLLAPSE_`` variable that names no flag, as an unknown flag is refused."""
+    known = {ENV_PREFIX + name for name in ENV_NAMES}
+    unknown = sorted(key for key in os.environ if key.startswith(ENV_PREFIX) and key not in known)
+    if unknown:
+        raise ConfigError(
+            f"unknown environment variable {', '.join(unknown)}; known: {', '.join(sorted(known))}"
+        )
 
 
 def _resolve_config(args) -> ScenarioConfig:
@@ -190,7 +215,7 @@ def _resolve_out(args) -> None:
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
     _resolve_out(args)
-    _prepare_out(args.out, args.force)
+    _check_out(args.out, args.force)
     manifest = _manifest(args, cfg, "run")
 
     if SCENARIOS[cfg.name].batch:
@@ -221,14 +246,12 @@ def cmd_run(args) -> int:
         log, events, summary = result.trajectory, result.events, result.summary
 
     if manifest.emit_trajectory and log is not None:
-        _write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), log)
+        _write_trajectory_csv(_out_file(args.out, "trajectory.csv"), log)
     if manifest.emit_events:
-        _write_json(
-            os.path.join(args.out, "events.json"), [_event_record(e) for e in events]
-        )
+        _write_json(_out_file(args.out, "events.json"), [_event_record(e) for e in events])
     if manifest.emit_summary:
-        _write_json(os.path.join(args.out, "summary.json"), summary)
-    _write_json(os.path.join(args.out, "manifest.json"), asdict(manifest))
+        _write_json(_out_file(args.out, "summary.json"), summary)
+    _write_json(_out_file(args.out, "manifest.json"), asdict(manifest))
     print(f"run complete: scenario={cfg.name} seed={cfg.seed} out={args.out}")
     return 0
 
@@ -264,7 +287,7 @@ def cmd_montecarlo(args) -> int:
             f"scenario {cfg.name!r} has no Monte Carlo batch; "
             f"supported: {', '.join(name for name, sc in SCENARIOS.items() if sc.batch)}"
         )
-    _prepare_out(args.out, args.force)
+    _check_out(args.out, args.force)
     manifest = _manifest(args, cfg, "montecarlo")
 
     try:
@@ -280,8 +303,8 @@ def cmd_montecarlo(args) -> int:
         "failures": failures,
         "passed": not failures,
     }
-    _write_json(os.path.join(args.out, "report.json"), report)
-    _write_json(os.path.join(args.out, "manifest.json"), asdict(manifest))
+    _write_json(_out_file(args.out, "report.json"), report)
+    _write_json(_out_file(args.out, "manifest.json"), asdict(manifest))
     for line in failures:
         print(f"FAIL {line}", file=sys.stderr)
     print(
@@ -299,7 +322,7 @@ def _verify_one(cfg: ScenarioConfig, checks: List[Dict], label: str) -> None:
 
 def cmd_verify(args) -> int:
     _resolve_out(args)
-    _prepare_out(args.out, args.force)
+    _check_out(args.out, args.force)
     checks: List[Dict] = []
 
     if args.config or _env("CONFIG"):
@@ -322,7 +345,7 @@ def cmd_verify(args) -> int:
         "n_failed": len(failed),
         "passed": not failed,
     }
-    _write_json(os.path.join(args.out, "report.json"), report)
+    _write_json(_out_file(args.out, "report.json"), report)
     for c in checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['invariant']:<20} {c['config']:<40} {c['detail']}")
     if failed:
@@ -384,6 +407,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_env()
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

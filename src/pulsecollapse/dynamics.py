@@ -4,13 +4,16 @@ Envelope schedules move square modulus between terms in closed form (exact
 norm conservation, no accumulated integration error); ``step`` checks a
 schedule against the state, advances it by dt and reports its probability
 currents. No driver calls ``step``: the tests step it as the reference the
-closed-form backbone must equal, and a trajectory past its hit runs only
-its formation stage, ``_advance_formation``. Pulse formation after a hit
-and conscious-pulse drift with a ready shadow live here too. Drift runs on
-plain arrays in ``DriftKernel``, with its loop invariants computed once;
-``drift_pulse`` is one kernel step on a state, and ``drifted_state``
-rebuilds a state from the kernel's arrays through the validating
-constructors.
+closed-form backbone must equal. Pulse formation after a hit and
+conscious-pulse drift with a ready shadow live here too, each as a kernel
+on plain arrays with its loop invariants computed once. ``FormationKernel``
+widens a forming pulse one row per step over an occupied interval and stops
+recomputing once a row repeats; ``_advance_formation`` is one kernel step
+on a pulse, and a trajectory past its hit steps the kernel itself.
+``DriftKernel`` moves the conscious pulse and feeds the shadow, carrying
+``DriftArrays`` from step to step; ``drift_pulse`` is one kernel step on a
+state, and ``drifted_state`` rebuilds a state from the kernel's arrays
+through the validating constructors.
 
 Currents are finite differences of square moduli over the step, so the
 per-term entries always telescope to the envelope's total transfer and the
@@ -23,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +64,8 @@ __all__ = [
     "rule4_pairs",
     "step",
     "form_pulse",
+    "FormationKernel",
+    "DriftArrays",
     "DriftKernel",
     "drift_pulse",
     "drifted_state",
@@ -307,33 +312,82 @@ def _site_masses(state: SystemState) -> Dict[int, np.ndarray]:
     return out
 
 
+class FormationKernel:
+    """Staged formation of one pulse on plain arrays, one row per ``step``.
+
+    It holds the stage, the occupied interval ``[lo, hi]`` (the nonzero
+    sites, which grow outward from the centre) and the loop invariants
+    ``-(u - c)**2`` and ``|u - c|``. A step widens the set to
+    ``[lo - r, hi + r]`` clipped to the grid and recomputes the profile in
+    the order of the formation law: stage, ``sigma_eff``, ``exp``, the 6σ
+    cut, the interval cut, then the full-grid normalisation. Once a step
+    would repeat the last row's stage and interval bit for bit, every later
+    row is that row, and the kernel stops recomputing. Each row's occupied
+    count, stage and norm are read off the arrays, and its peak must stay
+    at the centre. ``pulse`` builds the ``Pulse`` of the current row;
+    ``_advance_formation`` is one step of a kernel made from a pulse.
+    """
+
+    def __init__(self, pulse: Pulse, dt: float):
+        prog = pulse.forming
+        grid = pulse.grid
+        self.pulse_kind, self.grid, self.progress = pulse.kind, grid, prog
+        self.center_index = pulse.center_index
+        self.du = grid.spacing
+        self.decay = math.exp(-dt / prog.tau)
+        offset = grid.sites - grid.coord(pulse.center_index)
+        self.neg_sq = -(offset**2)
+        self.dist = np.abs(offset)
+        self.stage = pulse.formation_stage
+        self.grown: Optional[Tuple[int, int]] = None  # the interval the current row was cut to
+        self._take(pulse.weights.real, pulse.norm_sq())
+
+    def _take(self, weights: np.ndarray, norm_sq: float) -> None:
+        occupied = weights.nonzero()[0]
+        if len(occupied) == 0:
+            raise SimulationError("a forming pulse must occupy at least one site")
+        self.lo, self.hi = int(occupied[0]), int(occupied[-1])
+        if len(occupied) != self.hi - self.lo + 1:
+            raise SimulationError(f"the occupied sites of a forming pulse are not an interval: {occupied}")
+        self.weights, self.occupied, self.norm_sq = weights, len(occupied), norm_sq
+
+    def step(self) -> None:
+        """Advance the profile by one formation row."""
+        stage = 1.0 - (1.0 - self.stage) * self.decay
+        grown = (max(self.lo - self.progress.neighbor_radius, 0),
+                 min(self.hi + self.progress.neighbor_radius, self.grid.n_points - 1))
+        if stage == self.stage and grown == self.grown:
+            return  # the same inputs as the current row: it repeats from here on
+        du = self.du
+        sigma_eff = self.progress.target_sigma * stage + 2.0 * du * (1.0 - stage)
+        w = np.exp(self.neg_sq / (2.0 * sigma_eff**2))
+        np.putmask(w, self.dist > 6.0 * sigma_eff, 0.0)
+        w[: grown[0]] = 0.0
+        w[grown[1] + 1 :] = 0.0
+        w = w / math.sqrt(float(np.add.reduce(w**2)) * du)
+        peak = int(w.argmax())
+        if peak != self.center_index:
+            raise IndexOutOfRange(f"center_index {self.center_index} is not the peak site {peak}")
+        self.stage, self.grown = stage, grown
+        self._take(w, profile_norm_sq(w, du))
+
+    def pulse(self) -> Pulse:
+        """The current row as a validated ``Pulse``."""
+        return Pulse(
+            kind=self.pulse_kind,
+            grid=self.grid,
+            weights=self.weights,
+            center_index=self.center_index,
+            formation_stage=self.stage,
+            forming=self.progress,
+        )
+
+
 def _advance_formation(pulse: Pulse, dt: float) -> Pulse:
-    prog = pulse.forming
-    du = pulse.grid.spacing
-    decay = math.exp(-dt / prog.tau)
-    stage = 1.0 - (1.0 - pulse.formation_stage) * decay
-    sigma_eff = prog.target_sigma * stage + 2.0 * du * (1.0 - stage)
-
-    occupied = np.abs(pulse.weights) > 0
-    grown = occupied.copy()
-    for shift in range(1, prog.neighbor_radius + 1):
-        grown[shift:] |= occupied[:-shift]
-        grown[:-shift] |= occupied[shift:]
-
-    u = pulse.grid.sites
-    center = pulse.grid.coord(pulse.center_index)
-    w = np.exp(-((u - center) ** 2) / (2.0 * sigma_eff**2))
-    w[np.abs(u - center) > 6.0 * sigma_eff] = 0.0
-    w[~grown] = 0.0
-    w = w / math.sqrt(float(np.sum(w**2)) * du)
-    return Pulse(
-        kind=pulse.kind,
-        grid=pulse.grid,
-        weights=w,
-        center_index=pulse.center_index,
-        formation_stage=stage,
-        forming=prog,
-    )
+    """A forming pulse one staged-formation step later: one ``FormationKernel`` step."""
+    kernel = FormationKernel(pulse, dt)
+    kernel.step()
+    return kernel.pulse()
 
 
 def step(
@@ -474,15 +528,32 @@ def form_pulse(state: SystemState, chosen: int, policy: FormationPolicy) -> Syst
     return state.with_terms(new_terms)
 
 
+class DriftArrays(NamedTuple):
+    """What one drift step carries from the last: the conscious weights and
+    coefficient, the shadow weights and coefficient, the shadow's ``fed`` and
+    ``phantom`` masks, ``shadow_amp`` = ``|shadow_w * sqrt(du)|`` (the shadow's
+    unit-basis amplitude moduli, taken once per step for the next step's
+    masses and for a phantom audit) and whether any site is phantom yet.
+    The shadow fields are None where ``start`` is given no shadow."""
+
+    cons_w: np.ndarray
+    cons_c: complex
+    shadow_w: Optional[np.ndarray] = None
+    shadow_c: Optional[complex] = None
+    fed: Optional[np.ndarray] = None
+    phantom: Optional[np.ndarray] = None
+    shadow_amp: Optional[np.ndarray] = None
+    has_phantom: bool = False
+
+
 @dataclass(frozen=True)
 class DriftKernel:
     """One drift step on plain arrays, with the loop invariants computed once.
 
-    ``step`` takes and returns the conscious weights and coefficient, the
-    shadow weights and coefficient, and the shadow's ``fed`` and ``phantom``
-    masks. Without shedding (``decay`` is None) the shadow values pass
-    through untouched. ``drift_pulse`` is one step of it on a state; a drift
-    run loops over it and builds states only at the end.
+    ``start`` packs the arrays of a state into ``DriftArrays``, and ``step``
+    advances them by one step. Without shedding (``decay`` is None) the
+    shadow values pass through untouched. ``drift_pulse`` is one step of it
+    on a state; a drift run loops over it and builds states only at the end.
     """
 
     sources: np.ndarray  # u - v*dt: where each site's new amplitude is read from
@@ -499,40 +570,58 @@ class DriftKernel:
         decay = math.exp(-shed_rate * abs(velocity) * dt / du) if shed_rate > 0.0 else None
         return cls(u - velocity * dt, u, du, math.sqrt(du), dt, decay)
 
-    def step(self, cons_w, cons_c, shadow_w, shadow_c, fed, phantom):
+    def shadow_amp(self, shadow_w: np.ndarray) -> np.ndarray:
+        """``|shadow_w * sqrt(du)|``: the shadow's unit-basis amplitude moduli."""
+        return np.abs(shadow_w * self.sqrt_du)
+
+    def start(self, cons_w, cons_c, shadow_w=None, shadow_c=None, fed=None, phantom=None) -> DriftArrays:
+        """The arrays of a state, ready for ``step``."""
+        if shadow_w is None:
+            return DriftArrays(cons_w, cons_c)
+        return DriftArrays(
+            cons_w, cons_c, shadow_w, shadow_c, fed, phantom, self.shadow_amp(shadow_w), bool(phantom.any())
+        )
+
+    def step(self, a: DriftArrays) -> DriftArrays:
         """Advance the arrays by one step; see ``drift_pulse`` for the law."""
-        re = np.interp(self.sources, self.sites, cons_w.real, left=0.0, right=0.0)
-        im = np.interp(self.sources, self.sites, cons_w.imag, left=0.0, right=0.0)
+        re = np.interp(self.sources, self.sites, a.cons_w.real, left=0.0, right=0.0)
+        im = np.interp(self.sources, self.sites, a.cons_w.imag, left=0.0, right=0.0)
         shifted = re + 1j * im
         nrm = math.sqrt(profile_norm_sq(shifted, self.du))
         if nrm == 0.0:
             raise SimulationError("conscious pulse drifted entirely off the grid")
         shifted = shifted / nrm
         if self.decay is None:
-            return shifted, cons_c, shadow_w, shadow_c, fed, phantom
+            return a._replace(cons_w=shifted)
 
-        shed = abs(cons_c) ** 2 * (1.0 - self.decay)
+        shed = abs(a.cons_c) ** 2 * (1.0 - self.decay)
         share = np.abs(shifted * self.sqrt_du) ** 2
-        share[phantom] = 0.0
-        share_total = float(share.sum())
-        incoming = np.zeros(len(share))
-        shadow_masses = np.abs(shadow_c) ** 2 * np.abs(shadow_w * self.sqrt_du) ** 2
+        if a.has_phantom:
+            np.putmask(share, a.phantom, 0.0)
+        share_total = float(np.add.reduce(share))
+        shadow_masses = np.abs(a.shadow_c) ** 2 * a.shadow_amp**2
+        cons_c = a.cons_c
+        below = np.True_  # every site's incoming current is below the floor while nothing is shed
         if share_total > 0.0:
-            share = share / share_total
-            incoming = shed * share / self.dt
-            shadow_masses = shadow_masses + shed * share
+            shed_share = shed * (share / share_total)
+            below = shed_share / self.dt < PHANTOM_CURRENT_FLOOR
+            shadow_masses = shadow_masses + shed_share
             cons_c = cons_c * math.sqrt(self.decay)
 
-        newly_phantom = fed & ~phantom & (incoming < PHANTOM_CURRENT_FLOOR)
-        fed = fed | (incoming >= PHANTOM_CURRENT_FLOOR)
-        phantom = phantom | newly_phantom
+        newly_phantom = a.fed & ~a.phantom & below
+        fed = a.fed | ~below
+        phantom = a.phantom | newly_phantom
+        has_phantom = a.has_phantom or bool(newly_phantom.any())
 
-        total_mass = float(shadow_masses.sum())
+        shadow_w, shadow_c, shadow_amp = a.shadow_w, a.shadow_c, a.shadow_amp
+        total_mass = float(np.add.reduce(shadow_masses))
         if total_mass > 0.0:
             amps = np.sqrt(shadow_masses / total_mass)
-            shadow_w = (amps / self.sqrt_du).astype(np.complex128)
+            real_w = amps / self.sqrt_du
+            shadow_w = real_w.astype(np.complex128)
             shadow_c = math.sqrt(total_mass)
-        return shifted, cons_c, shadow_w, shadow_c, fed, phantom
+            shadow_amp = self.shadow_amp(real_w)  # the same values as from the complex weights
+        return DriftArrays(shifted, cons_c, shadow_w, shadow_c, fed, phantom, shadow_amp, has_phantom)
 
 
 def _pulse_term(term: Term, kind: PulseKind, weights, coefficient, **masks) -> Term:
@@ -552,15 +641,14 @@ def _pulse_term(term: Term, kind: PulseKind, weights, coefficient, **masks) -> T
     )
 
 
-def drifted_state(state: SystemState, ci: int, si: Optional[int], arrays, time: float) -> SystemState:
+def drifted_state(state: SystemState, ci: int, si: Optional[int], a: DriftArrays, time: float) -> SystemState:
     """``state`` with its conscious term ``ci`` and shadow term ``si`` (None: untouched)
     rebuilt from ``DriftKernel.step`` arrays, through the validating constructors."""
-    cons_w, cons_c, shadow_w, shadow_c, fed, phantom = arrays
     terms = list(state.terms)
-    terms[ci] = _pulse_term(terms[ci], PulseKind.CONSCIOUS, cons_w, cons_c)
+    terms[ci] = _pulse_term(terms[ci], PulseKind.CONSCIOUS, a.cons_w, a.cons_c)
     if si is not None:
         terms[si] = _pulse_term(
-            terms[si], PulseKind.READY, shadow_w, shadow_c, phantom_sites=phantom, fed_sites=fed
+            terms[si], PulseKind.READY, a.shadow_w, a.shadow_c, phantom_sites=a.phantom, fed_sites=a.fed
         )
     return state.with_terms(terms, time=time)
 
@@ -602,7 +690,7 @@ def drift_pulse(
     if cons_term.brain.pulse.forming is not None:
         raise SimulationError("drift requires a fully formed conscious pulse")
 
-    si, shadow = None, (None, None, None, None)
+    si, shadow = None, ()
     if shadow_ready and shed_rate > 0.0:
         shadow_idx = [
             n
@@ -625,7 +713,7 @@ def drift_pulse(
         shadow = (pulse.weights, state.terms[si].coefficient, *masks)
 
     kernel = DriftKernel.of(state.grid, velocity, dt, shed_rate if si is not None else 0.0)
-    arrays = kernel.step(cons_term.brain.pulse.weights, cons_term.coefficient, *shadow)
+    arrays = kernel.step(kernel.start(cons_term.brain.pulse.weights, cons_term.coefficient, *shadow))
     return drifted_state(state, ci, si, arrays, state.time + dt)
 
 

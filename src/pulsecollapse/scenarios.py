@@ -26,13 +26,19 @@ places one, reads its log up to the hit from the backbone, applies the hit
 to a real state (reduce, form_pulse), and carries each later row as plain
 values: by the rules of engagement nothing moves amplitude after the
 stochastic choice, so the rows stay fixed apart from formation and the
-turn-off or disengage event, which is applied to a state built for it.
+turn-off or disengage event, which is applied to a state built for it. A
+staged pulse forms on the arrays of a ``dynamics.FormationKernel``, which
+gives each row's norm, occupied count and stage; it becomes a ``Pulse``
+only at the event and at the end. A formation target that fits at no
+site is refused with the initial state, and one that does not fit at the
+hit site at the hit, each as a config error.
 
 A residual budget below 1e-12 at the end of a completed transfer counts as
 certain (float telescoping can leave ~1e-15 behind).
 
 ``run_pulse_drift`` has no hit. It loops ``dynamics.DriftKernel`` over plain
-arrays, audits phantom freeze and conservation on them each step, and
+arrays, audits conservation on them each step and phantom freeze from the
+first phantom site on, reading the shadow moduli the kernel carries, and
 builds the final state once. Its two negative controls are named hooks
 outside the kernel: ``_tamper_phantom`` moves one frozen amplitude, and
 ``_ready_transfer_injection`` schedules a ready-to-ready ramp whose rule-4
@@ -54,8 +60,8 @@ from .config import ScenarioConfig
 from .dynamics import (
     DriftKernel,
     EnvelopeSchedule,
+    FormationKernel,
     FormationPolicy,
-    _advance_formation,
     drifted_state,
     form_pulse,
     rule4_pairs,
@@ -183,10 +189,32 @@ def build_initial(cfg: ScenarioConfig) -> Tuple[SystemState, Optional[EnvelopeSc
     """Initial superposition and schedule for a scenario config.
 
     A pulse the grid cannot resolve or hold, or a nonpositive s, is a
-    ConfigError naming the config keys behind it; the same errors raised
-    later in a run (by formation, say) are not config errors.
+    ConfigError naming the config keys behind it. So is a formation target
+    that could form at no site (``_check_formation``); one that does not fit
+    at the site a hit picks is refused at the hit.
     """
-    return SCENARIOS[cfg.name].build(cfg)
+    built = SCENARIOS[cfg.name].build(cfg)
+    if "formation" in cfg.data:
+        _check_formation(cfg)
+    return built
+
+
+def _check_formation(cfg: ScenarioConfig) -> None:
+    """Refuse a formation target that fails at every site: a Gaussian of
+    ``target_sigma`` the grid cannot resolve, or one wider than the grid."""
+    sigma = cfg.data["formation"]["target_sigma"]
+    g = cfg.data["grid"]
+    if sigma < 2.0 * g["spacing"]:
+        raise ConfigError(
+            f"formation.target_sigma ({sigma}) must be at least 2 * grid.spacing "
+            f"({2.0 * g['spacing']}) for the grid to resolve the formed pulse"
+        )
+    width = g["spacing"] * (g["n_points"] - 1)
+    if 8.0 * sigma > width:
+        raise ConfigError(
+            f"formation.target_sigma ({sigma}): the formed pulse spans 8 sigma ({8.0 * sigma}), more than "
+            f"the grid, whose grid.spacing * (grid.n_points - 1) is {width}, so it fits at no site"
+        )
 
 
 def _gaussian(cfg: ScenarioConfig, grid: BrainGrid, center: str, sigma: str, kind: PulseKind) -> Pulse:
@@ -760,11 +788,12 @@ def simulate_trajectory(
     square moduli as ``Term.square_modulus`` takes them, their total, and
     the currents ``step`` reports, taken before the row's event. The
     coefficients stay fixed, since nothing moves amplitude after a hit or
-    past t_end; a forming pulse widens once per row through
-    ``_advance_formation``. A state is built only at the hit, at the
-    scenario's post-hit event (set with the rows past the backbone by its
-    table entry) and at the end, where the last row must equal its square
-    moduli. ``step`` is never called here.
+    past t_end; a forming pulse widens once per row as one step of its
+    ``FormationKernel``, whose arrays give the row's norm, occupied count
+    and stage. A state, with each forming pulse built from its kernel, is
+    built only at the hit, at the scenario's post-hit event (set with the
+    rows past the backbone by its table entry) and at the end, where the
+    last row must equal its square moduli. ``step`` is never called here.
     """
     sc = SCENARIOS[cfg.name]
     extra = sc.extra_steps(cfg)
@@ -777,7 +806,7 @@ def simulate_trajectory(
 
     k = int(_hit_steps(bb, np.array([u1]))[0])
     head = min(k + 2, len(bb.times))  # backbone rows, through the one the hit step ends on
-    pulses, norms, forming = _carried_factors(bb.state0)
+    pulses, norms, forming = _carried_factors(bb.state0, dt)
     sq_rows = bb.sq_terms[:head].tolist()
     cur_rows = [[0.0] * len(norms), *bb.currents[: head - 1].tolist()]
     times = bb.times[:head].tolist()
@@ -805,7 +834,7 @@ def simulate_trajectory(
         row, site = divmod(int(_flat_cell(cdf[0], u2 * total[0])), state.grid.n_points)
         term_idx = bb.ready_ids[row]
         pre = float(bb.total_sq[k + 1])
-        state = reduce(_with_values(state, coeffs, pulses, times[-1]), term_idx, site)
+        state = reduce(_with_values(state, coeffs, pulses, forming, times[-1]), term_idx, site)
         event = ReductionEvent(
             t_sc=state.time,
             term_hit=term_idx,
@@ -817,15 +846,21 @@ def simulate_trajectory(
         )
         if total_square_modulus(state) > pre + 1e-12:
             raise InvariantBreach("reduction-bound", "post norm exceeded pre norm")
-        state = form_pulse(state, site, policy)
+        try:
+            state = form_pulse(state, site, policy)
+        except CenterOutOfRange as exc:
+            raise ConfigError(
+                f"formation.target_sigma ({policy.target_sigma}): the formed pulse does not fit at "
+                f"hit site {site}: {exc}"
+            ) from exc
         coeffs = [t.coefficient for t in state.terms]
-        pulses, norms, forming = _carried_factors(state)
+        pulses, norms, forming = _carried_factors(state, dt)
         # the hit step's row holds the formed state, with the currents that led to the hit
         sq_rows[-1] = [t.square_modulus() for t in state.terms]
         tot_rows[-1] = total_square_modulus(state)
 
     # the live pulse's (norm error, conscious shape), kept until formation or the event changes it
-    live = _live_extras(pulses, coeffs) if event is not None else None
+    live = _live_extras(pulses, coeffs, forming) if event is not None else None
     if live is not None and live[1] is not None:
         extras["occupied_counts"].append(live[1][0])
         extras["formation_stages"].append(live[1][1])
@@ -834,22 +869,22 @@ def simulate_trajectory(
     t, sq = times[-1], sq_rows[-1]
     for _ in range(n_steps + 1 - len(times)):
         t = t + dt
-        for shared in forming:
-            pulse = _advance_formation(pulses[shared[0]], dt)
+        for kernel, shared in forming:
+            kernel.step()
             for n in shared:
-                pulses[n], norms[n] = pulse, pulse.norm_sq()
+                norms[n] = kernel.norm_sq
         if forming:
-            live = _live_extras(pulses, coeffs)
+            live = _live_extras(pulses, coeffs, forming)
         row = [abs(c) ** 2 * nrm for c, nrm in zip(coeffs, norms)]
         # the row's currents, as step reports them: before its turn-off or disengage event
         cur_rows.append([(a - b) / dt for a, b in zip(row, sq)])
         if pending is not None and t >= t_event:
-            state = pending(_with_values(state, coeffs, pulses, t), event, rng, extras)
+            state = pending(_with_values(state, coeffs, pulses, forming, t), event, rng, extras)
             pending = None
             coeffs = [term.coefficient for term in state.terms]
-            pulses, norms, forming = _carried_factors(state)
+            pulses, norms, forming = _carried_factors(state, dt)
             row = [term.square_modulus() for term in state.terms]
-            live = _live_extras(pulses, coeffs)
+            live = _live_extras(pulses, coeffs, forming)
         if live is not None:
             err, shape = live
             extras["formation_norm_err"] = max(extras["formation_norm_err"], err)
@@ -862,7 +897,7 @@ def simulate_trajectory(
         budget_rows.append(budget_rows[-1])
         sq = row
 
-    state = _with_values(state, coeffs, pulses, t)
+    state = _with_values(state, coeffs, pulses, forming, t)
     if [term.square_modulus() for term in state.terms] != sq_rows[-1]:
         raise InvariantBreach("trajectory-rows", "the last row differs from the final state's square moduli")
     log = TrajectoryLog(
@@ -876,20 +911,33 @@ def simulate_trajectory(
     return TrajectoryOutcome(state=state, log=log, event=event, extras=extras)
 
 
-def _carried_factors(state: SystemState):
+def _pulses(state: SystemState) -> List[Optional[Pulse]]:
+    """Each term's pulse, None for other factors."""
+    return [t.brain.pulse if isinstance(t.brain, PulseFactor) else None for t in state.terms]
+
+
+def _carried_factors(state: SystemState, dt: float):
     """The per-term values a trajectory carries past a state: each term's pulse
-    (None for other factors), its brain norm, and the non-phantom terms of each
-    forming pulse, grouped so that a shared pulse widens once per row."""
-    pulses = [t.brain.pulse if isinstance(t.brain, PulseFactor) else None for t in state.terms]
+    (None for other factors), its brain norm, and one ``FormationKernel`` per
+    forming pulse with the non-phantom terms that share it, so that a shared
+    pulse widens once per row."""
+    pulses = _pulses(state)
     forming: Dict[int, List[int]] = {}
     for n, (term, pulse) in enumerate(zip(state.terms, pulses)):
         if pulse is not None and pulse.forming is not None and not term.phantom:
             forming.setdefault(id(pulse), []).append(n)
-    return pulses, [t.brain.norm_sq() for t in state.terms], list(forming.values())
+    kernels = [(FormationKernel(pulses[shared[0]], dt), shared) for shared in forming.values()]
+    return pulses, [t.brain.norm_sq() for t in state.terms], kernels
 
 
-def _with_values(state: SystemState, coeffs, pulses, time: float) -> SystemState:
-    """``state`` with the carried coefficients and pulses, at ``time``."""
+def _with_values(state: SystemState, coeffs, pulses, forming, time: float) -> SystemState:
+    """``state`` with the carried coefficients and pulses, each forming pulse
+    built from its kernel's current row, at ``time``."""
+    pulses = list(pulses)
+    for kernel, shared in forming:
+        pulse = kernel.pulse()
+        for n in shared:
+            pulses[n] = pulse
     terms = []
     for term, c, pulse in zip(state.terms, coeffs, pulses):
         brain = term.brain
@@ -899,19 +947,24 @@ def _with_values(state: SystemState, coeffs, pulses, time: float) -> SystemState
     return state.with_terms(terms, time=time)
 
 
-def _live_pulse(pulses, coeffs) -> Optional[Pulse]:
-    """The pulse of the first term with a pulse factor and a nonzero coefficient, if any."""
-    return next((p for p, c in zip(pulses, coeffs) if p is not None and c != 0), None)
+def _live_term(pulses, coeffs) -> Optional[int]:
+    """The first term with a pulse factor and a nonzero coefficient, if any."""
+    return next((n for n, (p, c) in enumerate(zip(pulses, coeffs)) if p is not None and c != 0), None)
 
 
-def _live_extras(pulses, coeffs):
+def _live_extras(pulses, coeffs, forming):
     """The live pulse's norm error and, for a conscious pulse, its (occupied sites,
-    formation stage); None with no live pulse."""
-    pl = _live_pulse(pulses, coeffs)
-    if pl is None:
+    formation stage), read off its kernel while it forms; None with no live pulse."""
+    n = _live_term(pulses, coeffs)
+    if n is None:
         return None
-    shape = (int(np.count_nonzero(pl.weights)), pl.formation_stage) if pl.kind is PulseKind.CONSCIOUS else None
-    return abs(pl.norm_sq() - 1.0), shape
+    kernel = next((k for k, shared in forming if n in shared), None)
+    if kernel is not None:
+        kind, norm, shape = kernel.pulse_kind, kernel.norm_sq, (kernel.occupied, kernel.stage)
+    else:
+        pl = pulses[n]
+        kind, norm, shape = pl.kind, pl.norm_sq(), (int(np.count_nonzero(pl.weights)), pl.formation_stage)
+    return abs(norm - 1.0), shape if kind is PulseKind.CONSCIOUS else None
 
 
 def _turn_off(state: SystemState, event: ReductionEvent, rng: RngStream, extras: Dict) -> SystemState:
@@ -1157,7 +1210,7 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
     kernel = DriftKernel.of(state.grid, velocity, dt, dr["shed_rate"] if shedding else 0.0)
     cons, shadow = state.terms
     n_points = state.grid.n_points
-    arrays = (
+    arrays = kernel.start(
         cons.brain.pulse.weights,
         cons.coefficient,
         shadow.brain.pulse.weights,
@@ -1175,7 +1228,6 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
     frozen = np.zeros(n_points)
     has_frozen = np.zeros(n_points, dtype=bool)
     max_phantom_drift = 0.0
-    sqrt_du = kernel.sqrt_du
     du = kernel.du
     t = state.time
     total0 = total_square_modulus(state)
@@ -1188,26 +1240,24 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
 
     for i in range(n_steps):
         if velocity != 0.0:
-            arrays = kernel.step(*arrays)
+            arrays = kernel.step(arrays)
             t = t + dt
-        cons_w, cons_c, shadow_w, shadow_c, fed, phantom = arrays
-        if i == tamper_step and phantom.any():
-            shadow_w = _tamper_phantom(shadow_w, phantom)
-            arrays = (cons_w, cons_c, shadow_w, shadow_c, fed, phantom)
-            tamper_step = None  # fired
-        if phantom.any():
-            amps = np.abs(shadow_c) * np.abs(shadow_w * sqrt_du)
-            seen = phantom & has_frozen
-            moved = np.abs(amps[seen] - frozen[seen])
-            # fmax passes over a NaN difference, as max() over the sites one by one did
-            max_phantom_drift = np.fmax.reduce(moved, initial=max_phantom_drift)
-            new = phantom & ~has_frozen
-            frozen[new] = amps[new]
-            has_frozen |= new
+        if arrays.has_phantom:
+            if i == tamper_step:
+                w = _tamper_phantom(arrays.shadow_w, arrays.phantom)
+                arrays = arrays._replace(shadow_w=w, shadow_amp=kernel.shadow_amp(w))
+                tamper_step = None  # fired
+            amps = np.abs(arrays.shadow_c) * arrays.shadow_amp
+            # the sites frozen so far are the phantom sites of the step before, since that set only
+            # grows; fmax passes over a NaN difference, as max() over the sites one by one did
+            moved = np.abs(amps - frozen)
+            max_phantom_drift = np.fmax.reduce(moved, where=has_frozen, initial=max_phantom_drift)
+            np.copyto(frozen, amps, where=arrays.phantom & ~has_frozen)
+            has_frozen = arrays.phantom
         # Term.square_modulus of each pulse, then total_square_modulus's sum
         sq_now = [
-            abs(cons_c) ** 2 * profile_norm_sq(cons_w, du),
-            abs(shadow_c) ** 2 * profile_norm_sq(shadow_w, du),
+            abs(arrays.cons_c) ** 2 * profile_norm_sq(arrays.cons_w, du),
+            abs(arrays.shadow_c) ** 2 * profile_norm_sq(arrays.shadow_w, du),
         ]
         total = float(0 + sq_now[0] + sq_now[1])
         max_cons = max(max_cons, abs(total - total0))
@@ -1268,10 +1318,10 @@ def run_fade_in(cfg: ScenarioConfig) -> ScenarioResult:
     radius = cfg.data["formation"]["neighbor_radius"]
     grid = _grid_of(cfg)
 
-    final_pulse = _live_pulse(_carried_factors(out.state)[0], [t.coefficient for t in out.state.terms])
+    live = _live_term(_pulses(out.state), [t.coefficient for t in out.state.terms])
     sigma_fit = float("nan")
-    if final_pulse is not None and out.event is not None:
-        w2 = np.abs(final_pulse.weights) ** 2 * grid.spacing
+    if live is not None and out.event is not None:
+        w2 = np.abs(out.state.terms[live].brain.pulse.weights) ** 2 * grid.spacing
         mu = float(np.sum(grid.sites * w2))
         var = float(np.sum((grid.sites - mu) ** 2 * w2))
         sigma_fit = math.sqrt(2.0 * var)

@@ -137,7 +137,7 @@ class FormationProgress:
 
 def profile_norm_sq(weights: np.ndarray, spacing: float) -> float:
     """Square modulus of a profile sampled on a grid, sum |F|^2 du."""
-    return float(np.sum(np.abs(weights) ** 2) * spacing)
+    return float(np.add.reduce(np.abs(weights) ** 2) * spacing)
 
 
 def _frozen_array(values, dtype=np.complex128) -> np.ndarray:

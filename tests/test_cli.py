@@ -423,13 +423,67 @@ class TestExitCodes:
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {named}")
 
-    def test_coarse_formation_later_in_a_run_exits_2(self, tmp_path, capsys):
-        """The same error from formation after the hit is not a config error."""
+    def test_coarse_formation_target_exits_1_before_anything_runs(self, tmp_path, capsys):
+        """A formation target the grid cannot resolve fails at every site, so it is refused
+        up front, naming its key (it used to exit 2 from formation after the hit)."""
         mapping = load_yaml("interaction.yaml")
         mapping["formation"]["target_sigma"] = 0.15
         path = write_yaml(tmp_path, "coarse.yaml", mapping)
-        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("invariant breach: GridTooCoarse: sigma 0.15")
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: formation.target_sigma (0.15) must be at least 2 * grid.spacing (0.2) "
+            "for the grid to resolve the formed pulse\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, command, key, value, named", [
+        ("interaction.yaml", "run", "formation.target_sigma", 3,
+         "formation.target_sigma (3.0): the formed pulse does not fit at hit site 163: "
+         "center 16.3 closer than 4 sigma (12.0) to a grid edge\n"),
+        ("interaction.yaml", "verify", "formation.target_sigma", 3,
+         "formation.target_sigma (3.0): the formed pulse does not fit at hit site 163: "),
+        ("interaction.yaml", "run", "formation.target_sigma", 1e-300,
+         "formation.target_sigma (1e-300) must be at least 2 * grid.spacing (0.2) "),
+        ("interaction_halted.yaml", "montecarlo", "formation.target_sigma", 1e-300,
+         "formation.target_sigma (1e-300) must be at least 2 * grid.spacing (0.2) "),
+        ("observation_single.yaml", "run", "grid.spacing", 3,
+         "formation.target_sigma (0.8) must be at least 2 * grid.spacing (6.0) "),
+        ("observation_single.yaml", "run", "pulses.center1", 0,
+         "formation.target_sigma (0.8): the formed pulse does not fit at hit site 0: "
+         "center 0.0 closer than 4 sigma (3.2) to a grid edge\n"),
+        ("fade_in.yaml", "run", "formation.target_sigma", 1e9,
+         "formation.target_sigma (1000000000.0): the formed pulse spans 8 sigma (8000000000.0), "
+         "more than the grid, whose grid.spacing * (grid.n_points - 1) is 25.5, so it fits at no site\n"),
+    ])
+    def test_formation_that_cannot_fit_exits_1_naming_the_key(self, name, command, key, value, named,
+                                                            tmp_path, capsys):
+        """Formation values that used to fail only after a hit, with exit 2: a target the grid
+        cannot resolve or hold anywhere is refused up front, and one that does not fit at the
+        hit site names that site."""
+        mapping = load_yaml(name)
+        section, field = key.split(".")
+        mapping[section][field] = value
+        path = write_yaml(tmp_path, "bad.yaml", mapping)
+        argv = [command, "--config", path, "--out", str(tmp_path / "o")]
+        assert cli.main(argv + (["--trials", "1000"] if command == "montecarlo" else [])) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {named}")
+        assert not (tmp_path / "o").exists()
+
+    def test_refused_run_leaves_no_out_directory(self, tmp_path, capsys):
+        """The output directory is made only when writing begins, not before the batch runs."""
+        mapping = load_yaml("interaction_halted.yaml")
+        mapping["envelope"]["fraction"] = 1e-6
+        path = write_yaml(tmp_path, "few.yaml", mapping)
+        out = tmp_path / "o"
+        assert cli.main(["montecarlo", "--config", path, "--trials", "1000", "--out", str(out)]) == 1
+        assert "scenario.trials" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_path_that_is_a_file_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("x")
+        assert cli.main(["run", "--config", cfg_path("interaction.yaml"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: output path {str(out)!r} is not a directory\n"
 
     @pytest.mark.parametrize("name, t_end, message", [
         ("interaction", 1.0e-300,
@@ -599,6 +653,17 @@ class TestEnvOverrides:
         code = cli.main(["montecarlo", "--config", cfg_path("interaction.yaml"), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "scenario.seed" in capsys.readouterr().err
+
+    def test_unknown_variable_exits_1_naming_it(self, tmp_path, monkeypatch, capsys):
+        """An environment variable the CLI does not read is refused, as an unknown flag is."""
+        monkeypatch.setenv("PULSECOLLAPSE_GUARD", "off")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg_path("interaction.yaml"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: unknown environment variable PULSECOLLAPSE_GUARD; known: PULSECOLLAPSE_CONFIG, "
+            "PULSECOLLAPSE_FORMATION, PULSECOLLAPSE_OUT, PULSECOLLAPSE_SEED, PULSECOLLAPSE_TRIALS\n"
+        )
+        assert not out.exists()
 
     def test_bad_env_value_exits_1(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PULSECOLLAPSE_TRIALS", "many")

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from pulsecollapse.dynamics import (
+    DriftKernel,
     EnvelopeSchedule,
+    FormationKernel,
     FormationPolicy,
     _advance_formation,
     drift_pulse,
@@ -26,6 +28,7 @@ from pulsecollapse.dynamics import (
 )
 from pulsecollapse.errors import (
     IndexOutOfRange,
+    SimulationError,
     NotPostReduction,
     Rule2Violation,
     Rule4Violation,
@@ -34,6 +37,8 @@ from pulsecollapse.errors import (
 )
 from pulsecollapse.state import (
     BrainGrid,
+    FormationProgress,
+    Pulse,
     PulseFactor,
     PulseKind,
     SingleState,
@@ -325,6 +330,112 @@ class TestFormation:
         policy = FormationPolicy.instantaneous(target_sigma=0.8)
         with pytest.raises(NotPostReduction):
             form_pulse(state, 120, policy)
+
+
+def frozen_advance_formation(pulse, dt):
+    """The staged-formation law as it stood before it ran on arrays, kept as an
+    independent oracle: a dilation loop over the occupied mask and a validated
+    ``Pulse`` per row."""
+    prog = pulse.forming
+    du = pulse.grid.spacing
+    decay = math.exp(-dt / prog.tau)
+    stage = 1.0 - (1.0 - pulse.formation_stage) * decay
+    sigma_eff = prog.target_sigma * stage + 2.0 * du * (1.0 - stage)
+
+    occupied = np.abs(pulse.weights) > 0
+    grown = occupied.copy()
+    for shift in range(1, prog.neighbor_radius + 1):
+        grown[shift:] |= occupied[:-shift]
+        grown[:-shift] |= occupied[shift:]
+
+    u = pulse.grid.sites
+    center = pulse.grid.coord(pulse.center_index)
+    w = np.exp(-((u - center) ** 2) / (2.0 * sigma_eff**2))
+    w[np.abs(u - center) > 6.0 * sigma_eff] = 0.0
+    w[~grown] = 0.0
+    w = w / math.sqrt(float(np.sum(w**2)) * du)
+    return Pulse(
+        kind=pulse.kind,
+        grid=pulse.grid,
+        weights=w,
+        center_index=pulse.center_index,
+        formation_stage=stage,
+        forming=prog,
+    )
+
+
+def staged_seed(site, radius, tau, target_sigma=0.8, grid=GRID):
+    """The forming pulse ``form_pulse`` makes at ``site``: all weight on that one site."""
+    chosen = SingleState(kind=PulseKind.CONSCIOUS, index=site)
+    state = SystemState(terms=(Term(apparatus_label=2, coefficient=0.5 + 0j, brain=chosen),), s=1.0, time=1.0, grid=grid)
+    policy = FormationPolicy.staged(target_sigma=target_sigma, tau=tau, neighbor_radius=radius)
+    return form_pulse(state, site, policy).terms[0].brain.pulse
+
+
+class TestFormationKernel:
+    """The array kernel against the frozen pre-kernel law, row by row and bit for bit."""
+
+    @pytest.mark.parametrize("tau", [0.05, 0.5])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("site", [120, 3])
+    def test_rows_equal_the_frozen_law(self, site, radius, tau):
+        """Weights, stage, occupied count and norm of every row, through the fixed
+        point and 20 rows past it; site 3 grows into the grid edge."""
+        dt = 0.005
+        oracle = staged_seed(site, radius, tau)
+        kernel = FormationKernel(oracle, dt)
+        rows, repeats = 0, 0
+        while repeats < 20:
+            nxt = frozen_advance_formation(oracle, dt)
+            kernel.step()
+            rows += 1
+            assert not np.any(nxt.weights.imag)
+            assert np.array_equal(kernel.weights, nxt.weights.real), rows
+            assert kernel.stage == nxt.formation_stage
+            assert kernel.occupied == np.count_nonzero(nxt.weights)
+            assert kernel.norm_sq == nxt.norm_sq()
+            same = nxt.formation_stage == oracle.formation_stage and np.array_equal(nxt.weights, oracle.weights)
+            repeats = repeats + 1 if same else 0
+            oracle = nxt
+            assert rows < 5000
+        built = kernel.pulse()
+        assert np.array_equal(built.weights, oracle.weights)
+        assert built.formation_stage == oracle.formation_stage and built.forming is oracle.forming
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_one_step_on_a_pulse_is_the_frozen_law(self, radius):
+        pulse = staged_seed(120, radius, 0.05)
+        for _ in range(30):
+            want = frozen_advance_formation(pulse, 0.005)
+            pulse = _advance_formation(pulse, 0.005)
+            assert np.array_equal(pulse.weights, want.weights)
+            assert pulse.formation_stage == want.formation_stage
+
+    def test_stops_recomputing_at_the_fixed_point(self):
+        """With the bundled tau 0.05 and dt 0.005 the last 66 of 416 rows repeat row 350."""
+        kernel = FormationKernel(staged_seed(120, 2, 0.05), 0.005)
+        computed = []
+        for _ in range(416):
+            before = kernel.weights
+            kernel.step()
+            computed.append(kernel.weights is not before)
+        assert computed == [True] * 350 + [False] * 66
+
+    def test_peak_off_the_centre_is_refused(self):
+        """A target so wide that neighbouring sites round to the peak value moves the peak off the centre."""
+        kernel = FormationKernel(staged_seed(120, 2, 0.05, target_sigma=1e9), 0.005)
+        with pytest.raises(IndexOutOfRange, match="center_index 120 is not the peak site"):
+            for _ in range(400):
+                kernel.step()
+
+    def test_support_must_be_an_interval(self):
+        weights = np.zeros(GRID.n_points)
+        weights[[118, 120]] = [0.5, 1.0]
+        progress = FormationProgress(target_sigma=0.8, tau=0.05, neighbor_radius=1, t_sc=0.0)
+        pulse = Pulse(kind=PulseKind.CONSCIOUS, grid=GRID, weights=weights, center_index=120,
+                      formation_stage=0.1, forming=progress)
+        with pytest.raises(SimulationError, match="not an interval"):
+            FormationKernel(pulse, 0.005)
 
 
 # ─── drift and the phantom trail ─────────────────────────────────────

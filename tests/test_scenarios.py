@@ -881,8 +881,8 @@ class TestTrajectory:
         """Rows carried with a brain norm the state does not hold end in an invariant breach."""
         carried = scenarios._carried_factors
 
-        def off_norms(state):
-            pulses, norms, forming = carried(state)
+        def off_norms(state, dt):
+            pulses, norms, forming = carried(state, dt)
             return pulses, [nrm * (1.0 + 1e-12) for nrm in norms], forming
 
         monkeypatch.setattr(scenarios, "_carried_factors", off_norms)
@@ -918,6 +918,23 @@ class TestDriftScenario:
         data = b"".join(log[key].tobytes() for key in ("times", "sq_terms", "currents", "total_sq"))
         assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_kernel_carries_what_it_would_recompute(self):
+        """Each step's carried shadow moduli and phantom flag equal what the arrays give
+        taken afresh, so the audit and the masking may read them instead."""
+        cfg = bundled_config("pulse_drift.yaml")
+        state, _ = build_initial(cfg)
+        dr = cfg.data["drift"]
+        kernel = dynamics.DriftKernel.of(state.grid, dr["velocity"], cfg.dt, dr["shed_rate"])
+        cons, shadow = state.terms
+        none = np.zeros(state.grid.n_points, dtype=bool)
+        a = kernel.start(cons.brain.pulse.weights, cons.coefficient, shadow.brain.pulse.weights,
+                         shadow.coefficient, none, none)
+        for _ in range(int(round(dr["duration"] / cfg.dt))):
+            a = kernel.step(a)
+            assert np.array_equal(a.shadow_amp, np.abs(a.shadow_w * kernel.sqrt_du))
+            assert a.has_phantom == bool(a.phantom.any())
+        assert a.has_phantom
+
     def test_tampered_phantom_breaks_the_freeze(self):
         raw = {k: dict(v) for k, v in bundled_config("pulse_drift.yaml").raw.items()}
         raw["debug"] = {"tamper_phantom": True}
@@ -949,6 +966,18 @@ class TestFadeIn:
         assert s["max_growth_per_step"] <= s["growth_bound"]
         assert s["width_rel_err"] < 0.02
         assert s["max_formation_norm_err"] < 1e-9
+
+    @pytest.mark.parametrize("name, built", [("fade_in.yaml", 1), ("turn_off_overlap.yaml", 2)])
+    def test_forming_pulse_is_built_only_at_the_event_and_the_end(self, name, built, monkeypatch):
+        """Rows past the hit read the formation kernel's arrays; a ``Pulse`` is built from
+        them for the turn-off event's state and for the final state only."""
+        calls = []
+        pulse = dynamics.FormationKernel.pulse
+        monkeypatch.setattr(dynamics.FormationKernel, "pulse", lambda self: calls.append(1) or pulse(self))
+        cfg = config_variant(name, {"formation": {"mode": "staged", "tau": 0.05}})
+        out = simulate_trajectory(cfg)
+        assert out.event is not None and len(out.extras["occupied_counts"]) > 100
+        assert len(calls) == built
 
     def test_no_hit_reports_no_width(self):
         """A halted ramp with no event fits no formation width."""
