@@ -18,8 +18,6 @@ from .config import ScenarioConfig, load_config, parse_config
 from .dynamics import (
     CurrentReport,
     EnvelopeSchedule,
-    FormationKind,
-    FormationPolicy,
     RampKind,
     Transfer,
     drift_pulse,
@@ -53,8 +51,9 @@ from .scenarios import (
 from .state import (
     BrainGrid,
     DisengagedX,
+    FormationKind,
+    FormationPolicy,
     Pulse,
-    PulseFactor,
     PulseKind,
     SingleState,
     SystemState,
@@ -72,7 +71,6 @@ __all__ = [
     "BrainGrid",
     "Pulse",
     "PulseKind",
-    "PulseFactor",
     "SingleState",
     "DisengagedX",
     "Term",

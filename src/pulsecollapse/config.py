@@ -315,6 +315,13 @@ def _check_values(name: str, data: Dict[str, Dict[str, Any]]) -> None:
             raise ConfigError(f"drift.duration must be positive, got {dr['duration']}")
         if dr["shed_rate"] < 0:
             raise ConfigError(f"drift.shed_rate must be nonnegative, got {dr['shed_rate']}")
+        end = data["pulses"]["center"] + dr["velocity"] * dr["duration"]
+        u_max = grid["origin"] + grid["spacing"] * (grid["n_points"] - 1)
+        if not grid["origin"] <= end <= u_max:
+            raise ConfigError(
+                f"pulses.center + drift.velocity * drift.duration ({end}) must stay on the grid "
+                f"[{grid['origin']}, {u_max}]: the drift would carry the pulse off it"
+            )
 
 
 def load_config(path: str) -> ScenarioConfig:

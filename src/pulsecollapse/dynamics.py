@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -41,9 +41,9 @@ from .errors import (
 )
 from .state import (
     BrainGrid,
-    FormationProgress,
+    FormationKind,
+    FormationPolicy,
     Pulse,
-    PulseFactor,
     PulseKind,
     SingleState,
     SystemState,
@@ -58,8 +58,6 @@ __all__ = [
     "Transfer",
     "EnvelopeSchedule",
     "CurrentReport",
-    "FormationKind",
-    "FormationPolicy",
     "Rule4Pair",
     "rule4_pairs",
     "step",
@@ -244,44 +242,6 @@ class CurrentReport:
             arr.setflags(write=False)
 
 
-class FormationKind(enum.Enum):
-    INSTANTANEOUS = "instant"
-    STAGED = "staged"
-
-
-@dataclass(frozen=True)
-class FormationPolicy:
-    """How a conscious pulse forms after a reduction.
-
-    Instantaneous swaps the site state for the target Gaussian in one move.
-    Staged starts from the bare site and widens with time constant tau,
-    spreading at most neighbor_radius sites past the occupied set per step;
-    the profile keeps unit norm at every stage.
-    """
-
-    kind: FormationKind
-    target_sigma: float
-    tau: float = 0.0
-    neighbor_radius: int = 1
-
-    @classmethod
-    def instantaneous(cls, target_sigma: float) -> "FormationPolicy":
-        return cls(kind=FormationKind.INSTANTANEOUS, target_sigma=target_sigma)
-
-    @classmethod
-    def staged(cls, target_sigma: float, tau: float, neighbor_radius: int = 1) -> "FormationPolicy":
-        if not tau > 0:
-            raise SimulationError(f"staged formation needs tau > 0, got {tau}")
-        if neighbor_radius < 1:
-            raise SimulationError(f"neighbor_radius must be >= 1, got {neighbor_radius}")
-        return cls(
-            kind=FormationKind.STAGED,
-            target_sigma=target_sigma,
-            tau=tau,
-            neighbor_radius=neighbor_radius,
-        )
-
-
 def rule4_pairs(state: SystemState, schedule: EnvelopeSchedule) -> list:
     """Configured transfers that rule 4 forbids.
 
@@ -329,12 +289,12 @@ class FormationKernel:
     """
 
     def __init__(self, pulse: Pulse, dt: float):
-        prog = pulse.forming
+        policy = pulse.forming
         grid = pulse.grid
-        self.pulse_kind, self.grid, self.progress = pulse.kind, grid, prog
-        self.center_index = pulse.center_index
+        self.pulse_kind, self.grid, self.policy = pulse.kind, grid, policy
+        self.center_index, self.observer_id = pulse.center_index, pulse.observer_id
         self.du = grid.spacing
-        self.decay = math.exp(-dt / prog.tau)
+        self.decay = math.exp(-dt / policy.tau)
         offset = grid.sites - grid.coord(pulse.center_index)
         self.neg_sq = -(offset**2)
         self.dist = np.abs(offset)
@@ -354,12 +314,12 @@ class FormationKernel:
     def step(self) -> None:
         """Advance the profile by one formation row."""
         stage = 1.0 - (1.0 - self.stage) * self.decay
-        grown = (max(self.lo - self.progress.neighbor_radius, 0),
-                 min(self.hi + self.progress.neighbor_radius, self.grid.n_points - 1))
+        grown = (max(self.lo - self.policy.neighbor_radius, 0),
+                 min(self.hi + self.policy.neighbor_radius, self.grid.n_points - 1))
         if stage == self.stage and grown == self.grown:
             return  # the same inputs as the current row: it repeats from here on
         du = self.du
-        sigma_eff = self.progress.target_sigma * stage + 2.0 * du * (1.0 - stage)
+        sigma_eff = self.policy.target_sigma * stage + 2.0 * du * (1.0 - stage)
         w = np.exp(self.neg_sq / (2.0 * sigma_eff**2))
         np.putmask(w, self.dist > 6.0 * sigma_eff, 0.0)
         w[: grown[0]] = 0.0
@@ -379,7 +339,8 @@ class FormationKernel:
             weights=self.weights,
             center_index=self.center_index,
             formation_stage=self.stage,
-            forming=self.progress,
+            forming=self.policy,
+            observer_id=self.observer_id,
         )
 
 
@@ -443,11 +404,10 @@ def step(
             new_terms.append(term)
             continue
         brain = term.brain
-        if isinstance(brain, PulseFactor) and brain.pulse.forming is not None:
-            key = id(brain.pulse)
-            if key not in advanced_pulses:
-                advanced_pulses[key] = _advance_formation(brain.pulse, dt)
-            brain = PulseFactor(pulse=advanced_pulses[key], observer_id=brain.observer_id)
+        if isinstance(brain, Pulse) and brain.forming is not None:
+            if id(brain) not in advanced_pulses:
+                advanced_pulses[id(brain)] = _advance_formation(brain, dt)
+            brain = advanced_pulses[id(brain)]
         new_terms.append(Term(term.apparatus_label, coefficients.get(n, term.coefficient), brain))
     new_state = state.with_terms(new_terms, time=t1)
 
@@ -470,8 +430,9 @@ def form_pulse(state: SystemState, chosen: int, policy: FormationPolicy) -> Syst
 
     Requires every term with nonzero coefficient to share one conscious
     SingleState at ``chosen`` (the state reduce() returns); raises
-    NotPostReduction otherwise. The new pulse factor is shared across the
-    surviving apparatus labels and keeps unit norm at every stage.
+    NotPostReduction otherwise. The new pulse belongs to the survivors'
+    observer, is shared across the surviving apparatus labels and keeps unit
+    norm at every stage; a staged pulse holds ``policy`` while it widens.
     """
     from .errors import NotPostReduction
 
@@ -493,25 +454,13 @@ def form_pulse(state: SystemState, chosen: int, policy: FormationPolicy) -> Syst
             )
     observer = state.terms[survivors[0]].brain.observer_id
     if policy.kind is FormationKind.INSTANTANEOUS:
-        pulse = make_gaussian_pulse(
+        bare = make_gaussian_pulse(
             state.grid, state.grid.coord(chosen), policy.target_sigma, PulseKind.CONSCIOUS
         )
+        pulse = replace(bare, observer_id=observer)
     else:
-        seed = delta_pulse(state.grid, chosen, PulseKind.CONSCIOUS)
-        pulse = Pulse(
-            kind=PulseKind.CONSCIOUS,
-            grid=state.grid,
-            weights=seed.weights,
-            center_index=chosen,
-            formation_stage=0.0,
-            forming=FormationProgress(
-                target_sigma=policy.target_sigma,
-                tau=policy.tau,
-                neighbor_radius=policy.neighbor_radius,
-                t_sc=state.time,
-            ),
-        )
-    factor = PulseFactor(pulse=pulse, observer_id=observer)
+        bare = delta_pulse(state.grid, chosen, PulseKind.CONSCIOUS)
+        pulse = replace(bare, forming=policy, observer_id=observer)
     new_terms = []
     for n, term in enumerate(state.terms):
         if n in survivors:
@@ -519,7 +468,7 @@ def form_pulse(state: SystemState, chosen: int, policy: FormationPolicy) -> Syst
                 Term(
                     apparatus_label=term.apparatus_label,
                     coefficient=term.coefficient,
-                    brain=factor,
+                    brain=pulse,
                     phantom=term.phantom,
                 )
             )
@@ -628,15 +577,16 @@ def _pulse_term(term: Term, kind: PulseKind, weights, coefficient, **masks) -> T
     """``term`` with a new pulse of ``kind``, peak site taken from the weights."""
     pulse = Pulse(
         kind=kind,
-        grid=term.brain.pulse.grid,
+        grid=term.brain.grid,
         weights=weights,
         center_index=int(np.argmax(np.abs(weights))),
+        observer_id=term.brain.observer_id,
         **masks,
     )
     return Term(
         apparatus_label=term.apparatus_label,
         coefficient=coefficient,
-        brain=PulseFactor(pulse=pulse, observer_id=term.brain.observer_id),
+        brain=pulse,
         phantom=term.phantom,
     )
 
@@ -681,13 +631,13 @@ def drift_pulse(
     cons_idx = [
         n
         for n, t in enumerate(state.terms)
-        if isinstance(t.brain, PulseFactor) and t.brain.pulse.kind is PulseKind.CONSCIOUS
+        if isinstance(t.brain, Pulse) and t.brain.kind is PulseKind.CONSCIOUS
     ]
     if len(cons_idx) != 1:
         raise SimulationError(f"drift needs exactly one conscious pulse term, found {len(cons_idx)}")
     ci = cons_idx[0]
     cons_term = state.terms[ci]
-    if cons_term.brain.pulse.forming is not None:
+    if cons_term.brain.forming is not None:
         raise SimulationError("drift requires a fully formed conscious pulse")
 
     si, shadow = None, ()
@@ -697,15 +647,15 @@ def drift_pulse(
             for n, t in enumerate(state.terms)
             if n != ci
             and not t.phantom
-            and isinstance(t.brain, PulseFactor)
-            and t.brain.pulse.kind is PulseKind.READY
+            and isinstance(t.brain, Pulse)
+            and t.brain.kind is PulseKind.READY
         ]
         if len(shadow_idx) != 1:
             raise SimulationError(
                 f"shadow drift needs exactly one ready-pulse term, found {len(shadow_idx)}"
             )
         si = shadow_idx[0]
-        pulse = state.terms[si].brain.pulse
+        pulse = state.terms[si].brain
         masks = [
             m if m is not None else np.zeros(state.grid.n_points, dtype=bool)
             for m in (pulse.fed_sites, pulse.phantom_sites)
@@ -713,7 +663,7 @@ def drift_pulse(
         shadow = (pulse.weights, state.terms[si].coefficient, *masks)
 
     kernel = DriftKernel.of(state.grid, velocity, dt, shed_rate if si is not None else 0.0)
-    arrays = kernel.step(kernel.start(cons_term.brain.pulse.weights, cons_term.coefficient, *shadow))
+    arrays = kernel.step(kernel.start(cons_term.brain.weights, cons_term.coefficient, *shadow))
     return drifted_state(state, ci, si, arrays, state.time + dt)
 
 

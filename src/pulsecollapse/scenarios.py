@@ -61,7 +61,6 @@ from .dynamics import (
     DriftKernel,
     EnvelopeSchedule,
     FormationKernel,
-    FormationPolicy,
     drifted_state,
     form_pulse,
     rule4_pairs,
@@ -85,8 +84,8 @@ from .reduction import (
 from .state import (
     BrainGrid,
     DisengagedX,
+    FormationPolicy,
     Pulse,
-    PulseFactor,
     PulseKind,
     SingleState,
     SystemState,
@@ -245,8 +244,8 @@ def _one_source(cfg: ScenarioConfig) -> Tuple[SystemState, EnvelopeSchedule]:
     conscious = _gaussian(cfg, grid, "conscious_center", "conscious_sigma", PulseKind.CONSCIOUS)
     ready = _gaussian(cfg, grid, "ready_center", "ready_sigma", PulseKind.READY)
     terms = (
-        Term(apparatus_label=1, coefficient=complex(a), brain=PulseFactor(conscious)),
-        Term(apparatus_label=2, coefficient=0j, brain=PulseFactor(ready)),
+        Term(apparatus_label=1, coefficient=complex(a), brain=conscious),
+        Term(apparatus_label=2, coefficient=0j, brain=ready),
     )
     state = _source_state(cfg, grid, terms, a * a, "source.amplitude")
     return state, _ramp_from(cfg, state, [(0, (1,))])
@@ -268,8 +267,8 @@ def _two_sources(cfg: ScenarioConfig) -> Tuple[SystemState, EnvelopeSchedule]:
         flat = np.full(grid.n_points, 1.0 / math.sqrt(grid.n_points * grid.spacing))
         x_factor = DisengagedX(grid=grid, weights=flat)
         brains = (
-            PulseFactor(_gaussian(cfg, grid, "center1", "sigma1", PulseKind.READY)),
-            PulseFactor(_gaussian(cfg, grid, "center2", "sigma2", PulseKind.READY)),
+            _gaussian(cfg, grid, "center1", "sigma1", PulseKind.READY),
+            _gaussian(cfg, grid, "center2", "sigma2", PulseKind.READY),
         )
     terms = (
         Term(apparatus_label=1, coefficient=complex(a1), brain=x_factor),
@@ -286,8 +285,8 @@ def _drift_pair(cfg: ScenarioConfig) -> Tuple[SystemState, None]:
     grid = _grid_of(cfg)
     conscious = _gaussian(cfg, grid, "center", "sigma", PulseKind.CONSCIOUS)
     terms = (
-        Term(apparatus_label=1, coefficient=1.0 + 0j, brain=PulseFactor(conscious)),
-        Term(apparatus_label=2, coefficient=0j, brain=PulseFactor(conscious.with_kind(PulseKind.READY))),
+        Term(apparatus_label=1, coefficient=1.0 + 0j, brain=conscious),
+        Term(apparatus_label=2, coefficient=0j, brain=conscious.with_kind(PulseKind.READY)),
     )
     return SystemState(terms=terms, s=1.0, time=0.0, grid=grid), None
 
@@ -457,7 +456,7 @@ def build_backbone(cfg: ScenarioConfig) -> Backbone:
             "norm-conservation", f"total square modulus drifted by {cons_drift:.3e}"
         )
     max_norm_err = max(
-        (abs(t.brain.norm_sq() - 1.0) for t in state0.terms if isinstance(t.brain, PulseFactor)),
+        (abs(t.brain.norm_sq() - 1.0) for t in state0.terms if isinstance(t.brain, Pulse)),
         default=0.0,
     )
     if max_norm_err > NORM_TOL:
@@ -913,7 +912,7 @@ def simulate_trajectory(
 
 def _pulses(state: SystemState) -> List[Optional[Pulse]]:
     """Each term's pulse, None for other factors."""
-    return [t.brain.pulse if isinstance(t.brain, PulseFactor) else None for t in state.terms]
+    return [t.brain if isinstance(t.brain, Pulse) else None for t in state.terms]
 
 
 def _carried_factors(state: SystemState, dt: float):
@@ -938,12 +937,10 @@ def _with_values(state: SystemState, coeffs, pulses, forming, time: float) -> Sy
         pulse = kernel.pulse()
         for n in shared:
             pulses[n] = pulse
-    terms = []
-    for term, c, pulse in zip(state.terms, coeffs, pulses):
-        brain = term.brain
-        if pulse is not None and pulse is not brain.pulse:
-            brain = PulseFactor(pulse=pulse, observer_id=brain.observer_id)
-        terms.append(Term(term.apparatus_label, c, brain, term.phantom))
+    terms = [
+        Term(term.apparatus_label, c, term.brain if pulse is None else pulse, term.phantom)
+        for term, c, pulse in zip(state.terms, coeffs, pulses)
+    ]
     return state.with_terms(terms, time=time)
 
 
@@ -1004,12 +1001,12 @@ def _swap_disengaged(state: SystemState) -> SystemState:
     for t in state.terms:
         if (
             t.coefficient != 0
-            and isinstance(t.brain, PulseFactor)
-            and t.brain.pulse.kind is PulseKind.CONSCIOUS
+            and isinstance(t.brain, Pulse)
+            and t.brain.kind is PulseKind.CONSCIOUS
         ):
             x = DisengagedX(
-                grid=t.brain.pulse.grid,
-                weights=t.brain.pulse.weights,
+                grid=t.brain.grid,
+                weights=t.brain.weights,
                 observer_id=t.brain.observer_id,
             )
             terms.append(Term(t.apparatus_label, t.coefficient, x, t.phantom))
@@ -1211,9 +1208,9 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
     cons, shadow = state.terms
     n_points = state.grid.n_points
     arrays = kernel.start(
-        cons.brain.pulse.weights,
+        cons.brain.weights,
         cons.coefficient,
-        shadow.brain.pulse.weights,
+        shadow.brain.weights,
         shadow.coefficient,
         np.zeros(n_points, dtype=bool),
         np.zeros(n_points, dtype=bool),
@@ -1282,7 +1279,7 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
     if velocity != 0.0 and n_steps > 0:
         state = drifted_state(state, 0, 1 if shedding else None, arrays, t)
     cons, shadow = state.terms
-    phantom_sites = shadow.brain.pulse.phantom_sites
+    phantom_sites = shadow.brain.phantom_sites
     summary = {
         "scenario": cfg.name,
         "steps": n_steps,
@@ -1321,7 +1318,7 @@ def run_fade_in(cfg: ScenarioConfig) -> ScenarioResult:
     live = _live_term(_pulses(out.state), [t.coefficient for t in out.state.terms])
     sigma_fit = float("nan")
     if live is not None and out.event is not None:
-        w2 = np.abs(out.state.terms[live].brain.pulse.weights) ** 2 * grid.spacing
+        w2 = np.abs(out.state.terms[live].brain.weights) ** 2 * grid.spacing
         mu = float(np.sum(grid.sites * w2))
         var = float(np.sum((grid.sites - mu) ** 2 * w2))
         sigma_fit = math.sqrt(2.0 * var)

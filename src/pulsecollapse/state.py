@@ -1,10 +1,13 @@
 """Core state model: grid, pulses, brain factors, terms, system state.
 
 The system lives on a uniform one-dimensional grid of brain-variable values.
-A pulse is a normalized amplitude profile over grid sites; a term pairs an
-apparatus label and complex coefficient with one brain factor; a system state
-is an orthogonal superposition of terms sharing one grid and one rule-1
-normalizer ``s``.
+A brain factor is a pulse (a normalized amplitude profile over grid sites),
+a single site state or a disengaged X state, and each names the observer it
+belongs to; rule 4 and a reduction act per observer. A term pairs an
+apparatus label and complex coefficient with one brain factor; a system
+state is an orthogonal superposition of terms sharing one grid and one
+rule-1 normalizer ``s``. A pulse still widening after a reduction holds the
+staged ``FormationPolicy`` it forms under.
 
 Normalization conventions
 -------------------------
@@ -23,7 +26,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -34,14 +37,15 @@ from .errors import (
     GridTooCoarse,
     IndexOutOfRange,
     NonpositiveS,
+    SimulationError,
 )
 
 __all__ = [
     "PulseKind",
     "BrainGrid",
-    "FormationProgress",
+    "FormationKind",
+    "FormationPolicy",
     "Pulse",
-    "PulseFactor",
     "SingleState",
     "DisengagedX",
     "BrainFactor",
@@ -120,19 +124,43 @@ class BrainGrid:
         return min(max(k, 0), self.n_points - 1)
 
 
-@dataclass(frozen=True)
-class FormationProgress:
-    """Bookkeeping for a pulse still widening after a reduction.
+class FormationKind(enum.Enum):
+    INSTANTANEOUS = "instant"
+    STAGED = "staged"
 
-    ``stage`` runs from 0 (bare site state at t_sc) toward 1; the effective
-    width is ``target_sigma * stage + 2 du * (1 - stage)`` and amplitude may
-    spread at most ``neighbor_radius`` sites past the occupied set per step.
+
+@dataclass(frozen=True)
+class FormationPolicy:
+    """How a conscious pulse forms after a reduction.
+
+    Instantaneous swaps the site state for the target Gaussian in one move.
+    Staged starts from the bare site and widens with time constant tau:
+    the effective width is ``target_sigma * stage + 2 du * (1 - stage)``,
+    amplitude spreads at most neighbor_radius sites past the occupied set
+    per step, and the profile keeps unit norm at every stage.
     """
 
+    kind: FormationKind
     target_sigma: float
-    tau: float
-    neighbor_radius: int
-    t_sc: float
+    tau: float = 0.0
+    neighbor_radius: int = 1
+
+    @classmethod
+    def instantaneous(cls, target_sigma: float) -> "FormationPolicy":
+        return cls(kind=FormationKind.INSTANTANEOUS, target_sigma=target_sigma)
+
+    @classmethod
+    def staged(cls, target_sigma: float, tau: float, neighbor_radius: int = 1) -> "FormationPolicy":
+        if not tau > 0:
+            raise SimulationError(f"staged formation needs tau > 0, got {tau}")
+        if neighbor_radius < 1:
+            raise SimulationError(f"neighbor_radius must be >= 1, got {neighbor_radius}")
+        return cls(
+            kind=FormationKind.STAGED,
+            target_sigma=target_sigma,
+            tau=tau,
+            neighbor_radius=neighbor_radius,
+        )
 
 
 def profile_norm_sq(weights: np.ndarray, spacing: float) -> float:
@@ -148,7 +176,7 @@ def _frozen_array(values, dtype=np.complex128) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Pulse:
-    """Normalized amplitude profile over grid sites.
+    """Brain factor: one observer's normalized amplitude profile over grid sites.
 
     Fields
     ------
@@ -162,13 +190,15 @@ class Pulse:
         Index of max ``|weights|``, ties broken by the lowest index.
     formation_stage : float
         1.0 for a fully formed pulse; in [0, 1) while still widening.
-    forming : FormationProgress, optional
-        Present only while a staged formation is in progress.
+    forming : FormationPolicy, optional
+        The staged policy the pulse forms under; present only while it widens.
     phantom_sites : ndarray of bool, optional
         Trail sites frozen at constant amplitude (drift shadows only).
     fed_sites : ndarray of bool, optional
         Sites that have ever received at least one full step of current at or
         above the phantom threshold (drift shadows only).
+    observer_id : str
+        The observer whose brain state the pulse is.
     """
 
     kind: PulseKind
@@ -176,9 +206,10 @@ class Pulse:
     weights: np.ndarray
     center_index: int
     formation_stage: float = 1.0
-    forming: Optional[FormationProgress] = None
+    forming: Optional[FormationPolicy] = None
     phantom_sites: Optional[np.ndarray] = None
     fed_sites: Optional[np.ndarray] = None
+    observer_id: str = "obs"
 
     def __post_init__(self):
         w = _frozen_array(self.weights)
@@ -208,8 +239,17 @@ class Pulse:
         # summed once: the weights are a read-only copy made at construction
         return profile_norm_sq(self.weights, self.grid.spacing)
 
-    def site_amplitudes(self) -> np.ndarray:
-        """Amplitudes on the unit-norm site basis, F * sqrt(du)."""
+    @property
+    def is_ready(self) -> bool:
+        return self.kind is PulseKind.READY
+
+    def grid_of(self) -> Optional[BrainGrid]:
+        return self.grid
+
+    def site_amplitudes(self, grid: Optional[BrainGrid] = None) -> np.ndarray:
+        """Amplitudes on the unit-norm site basis, F * sqrt(du); a given grid must be the pulse's."""
+        if grid is not None and grid != self.grid:
+            raise GridMismatch("factor grid differs from state grid")
         return self.weights * math.sqrt(self.grid.spacing)
 
     def site_amplitude(self, index: int) -> complex:
@@ -218,43 +258,7 @@ class Pulse:
         return complex(self.weights[index]) * math.sqrt(self.grid.spacing)
 
     def with_kind(self, kind: PulseKind) -> "Pulse":
-        return Pulse(
-            kind=kind,
-            grid=self.grid,
-            weights=self.weights,
-            center_index=self.center_index,
-            formation_stage=self.formation_stage,
-            forming=self.forming,
-            phantom_sites=self.phantom_sites,
-            fed_sites=self.fed_sites,
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class PulseFactor:
-    """Brain factor holding one pulse for one observer."""
-
-    pulse: Pulse
-    observer_id: str = "obs"
-
-    @property
-    def kind(self) -> PulseKind:
-        return self.pulse.kind
-
-    @property
-    def is_ready(self) -> bool:
-        return self.pulse.kind is PulseKind.READY
-
-    def norm_sq(self) -> float:
-        return self.pulse.norm_sq()
-
-    def grid_of(self) -> Optional[BrainGrid]:
-        return self.pulse.grid
-
-    def site_amplitudes(self, grid: BrainGrid) -> np.ndarray:
-        if self.pulse.grid != grid:
-            raise GridMismatch("factor grid differs from state grid")
-        return self.pulse.site_amplitudes()
+        return replace(self, kind=kind)
 
 
 @dataclass(frozen=True)
@@ -321,7 +325,7 @@ class DisengagedX:
         return self.weights * math.sqrt(self.grid.spacing)
 
 
-BrainFactor = Union[PulseFactor, SingleState, DisengagedX]
+BrainFactor = Union[Pulse, SingleState, DisengagedX]
 
 
 @dataclass(frozen=True, eq=False)

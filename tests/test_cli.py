@@ -359,6 +359,28 @@ class TestExitCodes:
         assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == INJECTED_ERR
 
+    @pytest.mark.parametrize("velocity, end", [(3.0, "41.0"), (-1e9, "-11999999995.0")])
+    def test_drift_off_the_grid_exits_1_naming_it(self, velocity, end, tmp_path, capsys):
+        """A drift that would end off the grid is refused before anything runs (velocity 3
+        used to exit 0 with a renormalised remnant, and -1e9 exit 2 once nothing was left)."""
+        mapping = load_yaml("pulse_drift.yaml")
+        mapping["drift"]["velocity"] = velocity
+        path = write_yaml(tmp_path, "off.yaml", mapping)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: pulses.center + drift.velocity * drift.duration ({end}) must stay on the grid "
+            "[0.0, 25.5]: the drift would carry the pulse off it\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_long_still_drift_is_refused_by_its_step_count(self, tmp_path, capsys):
+        """A drift that stays on the grid still counts its steps against MAX_STEPS."""
+        mapping = load_yaml("pulse_drift.yaml")
+        mapping["drift"].update(velocity=0.0, duration=1e9)
+        path = write_yaml(tmp_path, "long.yaml", mapping)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error: drift.duration, scenario.dt set 1e+11 steps")
+
     def test_guard_is_an_unknown_flag_and_key(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["run", "--config", cfg_path("interaction.yaml"), "--guard", "off", "--out", str(tmp_path / "a")])

@@ -9,16 +9,17 @@ Closed-form anchors:
     intensity exactly in half.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from pulsecollapse import scenarios
 from pulsecollapse.dynamics import (
     DriftKernel,
     EnvelopeSchedule,
     FormationKernel,
-    FormationPolicy,
     _advance_formation,
     drift_pulse,
     form_pulse,
@@ -35,11 +36,11 @@ from pulsecollapse.errors import (
     ScheduleStateMismatch,
     StepTooLarge,
 )
+from pulsecollapse.reduction import reduce
 from pulsecollapse.state import (
     BrainGrid,
-    FormationProgress,
+    FormationPolicy,
     Pulse,
-    PulseFactor,
     PulseKind,
     SingleState,
     SystemState,
@@ -56,8 +57,8 @@ def two_term_state(a=1.0, conscious_center=8.0, ready_center=17.0, sigma=0.8):
     ready = make_gaussian_pulse(GRID, ready_center, sigma, PulseKind.READY)
     return SystemState(
         terms=(
-            Term(apparatus_label=1, coefficient=complex(a), brain=PulseFactor(conscious)),
-            Term(apparatus_label=2, coefficient=0j, brain=PulseFactor(ready)),
+            Term(apparatus_label=1, coefficient=complex(a), brain=conscious),
+            Term(apparatus_label=2, coefficient=0j, brain=ready),
         ),
         s=a * a,
         time=0.0,
@@ -130,8 +131,8 @@ class TestEnvelope:
         other = make_gaussian_pulse(GRID, 17.0, 0.8, PulseKind.CONSCIOUS)
         state = SystemState(
             terms=(
-                Term(apparatus_label=1, coefficient=1 + 0j, brain=PulseFactor(conscious)),
-                Term(apparatus_label=2, coefficient=0j, brain=PulseFactor(other)),
+                Term(apparatus_label=1, coefficient=1 + 0j, brain=conscious),
+                Term(apparatus_label=2, coefficient=0j, brain=other),
             ),
             s=1.0,
             time=0.0,
@@ -257,7 +258,7 @@ class TestFormation:
         state = self._post_reduction_state()
         policy = FormationPolicy.instantaneous(target_sigma=0.8)
         formed = form_pulse(state, 120, policy)
-        pulse = formed.terms[0].brain.pulse
+        pulse = formed.terms[0].brain
         assert pulse.kind is PulseKind.CONSCIOUS
         assert pulse.norm_sq() == pytest.approx(1.0, abs=1e-12)
         assert pulse.formation_stage == 1.0
@@ -267,7 +268,7 @@ class TestFormation:
         state = self._post_reduction_state()
         policy = FormationPolicy.staged(target_sigma=0.8, tau=0.05, neighbor_radius=2)
         formed = form_pulse(state, 120, policy)
-        pulse = formed.terms[0].brain.pulse
+        pulse = formed.terms[0].brain
         assert np.count_nonzero(pulse.weights) == 1
         assert pulse.norm_sq() == pytest.approx(1.0, abs=1e-12)
         assert pulse.formation_stage == 0.0
@@ -281,13 +282,13 @@ class TestFormation:
         occupied = [1]
         for _ in range(200):
             state, _ = step(state, hold, 0.005)
-            pulse = state.terms[0].brain.pulse
+            pulse = state.terms[0].brain
             occupied.append(int(np.count_nonzero(pulse.weights)))
             assert pulse.norm_sq() == pytest.approx(1.0, abs=1e-9)
         growth = np.diff(occupied)
         assert growth.max() <= 2 * 2
         assert np.all(growth >= 0)
-        assert state.terms[0].brain.pulse.formation_stage > 0.999999
+        assert state.terms[0].brain.formation_stage > 0.999999
 
     def test_step_keeps_phantoms_and_widens_a_shared_pulse_once(self):
         """Two survivors share one forming pulse; a phantom term rides along untouched."""
@@ -307,8 +308,8 @@ class TestFormation:
         assert nxt.time == 1.0 + 0.005
         assert [t.coefficient for t in nxt.terms] == [0.5 + 0j, 0.5 + 0j, 0.1 + 0j]
         assert nxt.terms[2] is phantom
-        pulse = nxt.terms[0].brain.pulse
-        assert nxt.terms[1].brain.pulse is pulse
+        pulse = nxt.terms[0].brain
+        assert nxt.terms[1].brain is pulse
         assert pulse.formation_stage == 1.0 - math.exp(-0.005 / 0.05)
         assert np.count_nonzero(pulse.weights) == 5
 
@@ -316,14 +317,14 @@ class TestFormation:
         """Under a hold, step keeps the coefficient and widens the pulse by one formation stage."""
         policy = FormationPolicy.staged(target_sigma=0.8, tau=0.05)
         state = form_pulse(self._post_reduction_state(), 120, policy)
-        pulse, t = state.terms[0].brain.pulse, state.time
+        pulse, t = state.terms[0].brain, state.time
         hold = EnvelopeSchedule.hold()
         for _ in range(20):
             state, _ = step(state, hold, 0.005)
             pulse, t = _advance_formation(pulse, 0.005), t + 0.005
             assert state.time == t
             assert state.terms[0].coefficient == 0.5 + 0j
-            assert np.array_equal(state.terms[0].brain.pulse.weights, pulse.weights)
+            assert np.array_equal(state.terms[0].brain.weights, pulse.weights)
 
     def test_not_post_reduction_rejected(self):
         state = two_term_state()
@@ -369,7 +370,7 @@ def staged_seed(site, radius, tau, target_sigma=0.8, grid=GRID):
     chosen = SingleState(kind=PulseKind.CONSCIOUS, index=site)
     state = SystemState(terms=(Term(apparatus_label=2, coefficient=0.5 + 0j, brain=chosen),), s=1.0, time=1.0, grid=grid)
     policy = FormationPolicy.staged(target_sigma=target_sigma, tau=tau, neighbor_radius=radius)
-    return form_pulse(state, site, policy).terms[0].brain.pulse
+    return form_pulse(state, site, policy).terms[0].brain
 
 
 class TestFormationKernel:
@@ -431,9 +432,9 @@ class TestFormationKernel:
     def test_support_must_be_an_interval(self):
         weights = np.zeros(GRID.n_points)
         weights[[118, 120]] = [0.5, 1.0]
-        progress = FormationProgress(target_sigma=0.8, tau=0.05, neighbor_radius=1, t_sc=0.0)
+        policy = FormationPolicy.staged(target_sigma=0.8, tau=0.05, neighbor_radius=1)
         pulse = Pulse(kind=PulseKind.CONSCIOUS, grid=GRID, weights=weights, center_index=120,
-                      formation_stage=0.1, forming=progress)
+                      formation_stage=0.1, forming=policy)
         with pytest.raises(SimulationError, match="not an interval"):
             FormationKernel(pulse, 0.005)
 
@@ -447,8 +448,8 @@ class TestDrift:
         shadow = conscious.with_kind(PulseKind.READY)
         return SystemState(
             terms=(
-                Term(apparatus_label=1, coefficient=1 + 0j, brain=PulseFactor(conscious)),
-                Term(apparatus_label=2, coefficient=0j, brain=PulseFactor(shadow)),
+                Term(apparatus_label=1, coefficient=1 + 0j, brain=conscious),
+                Term(apparatus_label=2, coefficient=0j, brain=shadow),
             ),
             s=1.0,
             time=0.0,
@@ -464,7 +465,7 @@ class TestDrift:
         state = self._drift_state()
         for _ in range(100):
             state = drift_pulse(state, velocity=1.0, dt=0.01)
-        pulse = state.terms[0].brain.pulse
+        pulse = state.terms[0].brain
         moved = GRID.coord(pulse.center_index)
         assert moved == pytest.approx(7.0, abs=2 * GRID.spacing)
 
@@ -490,7 +491,7 @@ class TestDrift:
         for _ in range(900):
             state = drift_pulse(state, velocity=1.0, dt=0.01, shadow_ready=True, shed_rate=0.05)
             shadow = state.terms[1]
-            pulse = shadow.brain.pulse
+            pulse = shadow.brain
             if pulse.phantom_sites is None:
                 continue
             amps = np.abs(shadow.coefficient) * np.abs(pulse.site_amplitudes())
@@ -502,6 +503,74 @@ class TestDrift:
                     frozen[site] = float(amps[site])
         assert frozen, "drift never produced a phantom trail"
         assert worst < 1e-12
+
+
+# ─── observer identity ───────────────────────────────────────────────
+
+
+def alices(pulse):
+    return dataclasses.replace(pulse, observer_id="alice")
+
+
+class TestObserverIdentity:
+    """Every rebuild of a brain factor keeps the observer it belonged to."""
+
+    DT = 0.005
+    STAGED = FormationPolicy.staged(target_sigma=0.8, tau=0.05, neighbor_radius=2)
+
+    def _reduced(self):
+        """Two of alice's ready pulses, both with weight at site 120, reduced there."""
+        ready = [alices(make_gaussian_pulse(GRID, c, 0.8, PulseKind.READY)) for c in (11.8, 12.2)]
+        terms = (Term(1, 0.6 + 0j, ready[0]), Term(2, 0.6 + 0j, ready[1]))
+        return reduce(SystemState(terms=terms, s=0.72, time=1.0, grid=GRID), 0, 120)
+
+    def _formed(self, policy):
+        return form_pulse(self._reduced(), 120, policy)
+
+    def test_reduce(self):
+        state = self._reduced()
+        assert [t.brain.observer_id for t in state.terms] == ["alice", "alice"]
+        assert all(isinstance(t.brain, SingleState) and t.coefficient != 0 for t in state.terms)
+
+    @pytest.mark.parametrize("policy", [FormationPolicy.instantaneous(0.8), STAGED], ids=["instant", "staged"])
+    def test_form_pulse(self, policy):
+        pulses = {id(t.brain): t.brain for t in self._formed(policy).terms}
+        (pulse,) = pulses.values()
+        assert pulse.observer_id == "alice"
+        assert pulse.forming is (policy if policy is self.STAGED else None)
+
+    def test_every_kernel_row_and_step(self):
+        pulse = self._formed(self.STAGED).terms[0].brain
+        kernel = FormationKernel(pulse, self.DT)
+        for _ in range(400):
+            kernel.step()
+            row = kernel.pulse()
+            assert row.observer_id == "alice" and row.forming is self.STAGED
+        assert _advance_formation(pulse, self.DT).observer_id == "alice"
+        state = step(self._formed(self.STAGED), EnvelopeSchedule.hold(), self.DT)[0]
+        assert {t.brain.observer_id for t in state.terms} == {"alice"}
+
+    def test_trajectory_rebuild(self):
+        formed = self._formed(self.STAGED)
+        pulses, _, forming = scenarios._carried_factors(formed, self.DT)
+        for _ in range(50):
+            for kernel, _ in forming:
+                kernel.step()
+        coeffs = [t.coefficient for t in formed.terms]
+        state = scenarios._with_values(formed, coeffs, pulses, forming, formed.time + 50 * self.DT)
+        brains = [t.brain for t in state.terms]
+        assert brains[0] is brains[1] and brains[0] is not formed.terms[0].brain
+        assert brains[0].observer_id == "alice" and brains[0].formation_stage > 0.99
+
+    def test_drift(self):
+        conscious = alices(make_gaussian_pulse(GRID, 6.0, 0.8, PulseKind.CONSCIOUS))
+        terms = (Term(1, 1 + 0j, conscious), Term(2, 0j, conscious.with_kind(PulseKind.READY)))
+        state = SystemState(terms=terms, s=1.0, time=0.0, grid=GRID)
+        assert terms[1].brain.observer_id == "alice"
+        for _ in range(300):
+            state = drift_pulse(state, velocity=1.0, dt=0.01, shadow_ready=True, shed_rate=0.05)
+        assert state.terms[1].brain.phantom_sites.any()
+        assert [t.brain.observer_id for t in state.terms] == ["alice", "alice"]
 
 
 # ─── relative intensity ──────────────────────────────────────────────

@@ -23,7 +23,6 @@ from pulsecollapse.reduction import (
 from pulsecollapse.state import (
     BrainGrid,
     DisengagedX,
-    PulseFactor,
     PulseKind,
     SingleState,
     SystemState,
@@ -45,8 +44,8 @@ def observation_state(a1=0.8, a2=0.6, c1=11.0, c2=13.0, sigma=1.0):
         terms=(
             Term(apparatus_label=1, coefficient=complex(a1), brain=x),
             Term(apparatus_label=2, coefficient=complex(a2), brain=x),
-            Term(apparatus_label=1, coefficient=0j, brain=PulseFactor(p1)),
-            Term(apparatus_label=2, coefficient=0j, brain=PulseFactor(p2)),
+            Term(apparatus_label=1, coefficient=0j, brain=p1),
+            Term(apparatus_label=2, coefficient=0j, brain=p2),
         ),
         s=a1 * a1 + a2 * a2,
         time=0.0,

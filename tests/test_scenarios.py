@@ -45,7 +45,7 @@ from pulsecollapse.scenarios import (
     simulate_trajectory,
     site_cdfs,
 )
-from pulsecollapse.state import PulseFactor, PulseKind, Term, total_square_modulus
+from pulsecollapse.state import Pulse, PulseKind, Term, total_square_modulus
 from tests.conftest import bundled_config
 
 BATCH_CONFIGS = (
@@ -147,7 +147,7 @@ def stepped_backbone(cfg):
         total.append(total_square_modulus(state))
         dst_factor.append(schedule.envelope_factors(state.time)[1])
         for t in state.terms:
-            if isinstance(t.brain, PulseFactor):
+            if isinstance(t.brain, Pulse):
                 norm_err = max(norm_err, abs(t.brain.norm_sq() - 1.0))
     total = np.array(total)
     return {
@@ -201,8 +201,8 @@ def stepped_trajectory(cfg, trial=0):
     budget_rows = [0.0]
 
     def live_pulse():
-        return next((t.brain.pulse for t in state.terms
-                     if isinstance(t.brain, PulseFactor) and t.coefficient != 0), None)
+        return next((t.brain for t in state.terms
+                     if isinstance(t.brain, Pulse) and t.coefficient != 0), None)
 
     for _ in range(n_steps):
         before = state
@@ -281,7 +281,7 @@ def stepped_drift(cfg):
         state = dynamics.drift_pulse(state, velocity=dr["velocity"], dt=dt,
                                      shadow_ready=dr["shadow"], shed_rate=dr["shed_rate"])
         shadow = state.terms[1]
-        pulse = shadow.brain.pulse
+        pulse = shadow.brain
         if pulse.phantom_sites is not None:
             amps = np.abs(shadow.coefficient) * np.abs(pulse.site_amplitudes())
             for site in np.flatnonzero(pulse.phantom_sites).tolist():
@@ -296,7 +296,7 @@ def stepped_drift(cfg):
         times.append(state.time)
         tot_rows.append(total_square_modulus(state))
     shadow = state.terms[1]
-    phantom = shadow.brain.pulse.phantom_sites
+    phantom = shadow.brain.phantom_sites
     summary = {
         "scenario": cfg.name,
         "steps": n_steps,
@@ -927,7 +927,7 @@ class TestDriftScenario:
         kernel = dynamics.DriftKernel.of(state.grid, dr["velocity"], cfg.dt, dr["shed_rate"])
         cons, shadow = state.terms
         none = np.zeros(state.grid.n_points, dtype=bool)
-        a = kernel.start(cons.brain.pulse.weights, cons.coefficient, shadow.brain.pulse.weights,
+        a = kernel.start(cons.brain.weights, cons.coefficient, shadow.brain.weights,
                          shadow.coefficient, none, none)
         for _ in range(int(round(dr["duration"] / cfg.dt))):
             a = kernel.step(a)

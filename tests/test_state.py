@@ -26,7 +26,6 @@ from pulsecollapse.state import (
     BrainGrid,
     DisengagedX,
     Pulse,
-    PulseFactor,
     PulseKind,
     SingleState,
     SystemState,
@@ -176,9 +175,11 @@ class TestFactors:
 
     def test_pulse_factor_kind_passthrough(self):
         p = make_gaussian_pulse(GRID, 12.0, 0.8, PulseKind.READY)
-        f = PulseFactor(p)
-        assert f.is_ready
-        assert f.kind is PulseKind.READY
+        assert p.is_ready and not p.with_kind(PulseKind.CONSCIOUS).is_ready
+        assert p.observer_id == "obs" and p.grid_of() is GRID
+        assert np.array_equal(p.site_amplitudes(GRID), p.site_amplitudes())
+        with pytest.raises(GridMismatch):
+            p.site_amplitudes(BrainGrid(n_points=GRID.n_points, spacing=2 * GRID.spacing))
 
 
 class TestSystemState:
@@ -187,8 +188,8 @@ class TestSystemState:
         q = make_gaussian_pulse(GRID, 17.0, 0.8, PulseKind.READY)
         state = SystemState(
             terms=(
-                Term(apparatus_label=1, coefficient=0.6 + 0j, brain=PulseFactor(p)),
-                Term(apparatus_label=2, coefficient=0.8j, brain=PulseFactor(q)),
+                Term(apparatus_label=1, coefficient=0.6 + 0j, brain=p),
+                Term(apparatus_label=2, coefficient=0.8j, brain=q),
             ),
             s=1.0,
             time=0.0,
@@ -200,7 +201,7 @@ class TestSystemState:
         p = make_gaussian_pulse(GRID, 8.0, 0.8, PulseKind.CONSCIOUS)
         with pytest.raises(NonpositiveS):
             SystemState(
-                terms=(Term(apparatus_label=1, coefficient=1 + 0j, brain=PulseFactor(p)),),
+                terms=(Term(apparatus_label=1, coefficient=1 + 0j, brain=p),),
                 s=0.0,
                 time=0.0,
                 grid=GRID,
