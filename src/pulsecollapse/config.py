@@ -1,9 +1,11 @@
 """Scenario configuration: YAML schema, strict validation, typed access.
 
-Config files are nested key-value YAML. Validation is strict in both
-directions: a missing required key and an unknown key are both errors, and
-the offending key is named in the message (unknown keys are likelier typos
-than extensions).
+Config files are nested key-value YAML. One table states every key a
+scenario takes, with its type and its default or the ``REQUIRED`` marker:
+a key without a default is required, and so is a section that holds one.
+Validation is strict in both directions: a missing required key and an
+unknown key are both errors, and the offending key is named in the
+message (unknown keys are likelier typos than extensions).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 import yaml
 
@@ -21,96 +23,66 @@ __all__ = ["ScenarioConfig", "SCENARIO_NAMES", "load_config", "parse_config"]
 
 MAX_GRID_POINTS = 1 << 20
 
-_BASE_SCHEMA: Dict[str, Dict[str, type]] = {
+# The one statement of every key: section -> key -> (type, default), with REQUIRED in place of
+# the default of a key a config must give. A section that holds such a key is required.
+REQUIRED = object()
+Schema = Dict[str, Dict[str, Tuple[type, Any]]]
+
+_BASE_SCHEMA: Schema = {
     "scenario": {
-        "name": str,
-        "seed": int,
-        "dt": float,
-        "trials": int,
-        "tail_steps": int,
+        "name": (str, REQUIRED), "seed": (int, REQUIRED), "dt": (float, REQUIRED),
+        "trials": (int, 100_000), "tail_steps": (int, 20),
     },
-    "grid": {"n_points": int, "spacing": float, "origin": float},
+    "grid": {"n_points": (int, REQUIRED), "spacing": (float, REQUIRED), "origin": (float, 0.0)},
     "debug": {
-        "bias_site_selection": bool,
-        "tamper_phantom": bool,
-        "intra_ready_transfer": bool,
+        "bias_site_selection": (bool, False),
+        "tamper_phantom": (bool, False),
+        "intra_ready_transfer": (bool, False),
     },
 }
 
-_ENVELOPE = {"kind": str, "t_start": float, "t_end": float, "fraction": float}
+_ENVELOPE = {
+    "kind": (str, REQUIRED), "t_start": (float, REQUIRED), "t_end": (float, REQUIRED), "fraction": (float, 1.0),
+}
 _FORMATION = {
-    "mode": str,
-    "target_sigma": float,
-    "tau": float,
-    "neighbor_radius": int,
-    "settle_steps": int,
+    "mode": (str, REQUIRED), "target_sigma": (float, REQUIRED),
+    "tau": (float, 0.01), "neighbor_radius": (int, 1), "settle_steps": (int, 150),
 }
 
-_ONE_SOURCE = {
+_ONE_SOURCE: Schema = {
     "envelope": _ENVELOPE,
-    "source": {"amplitude": float},
+    "source": {"amplitude": (float, REQUIRED)},
     "pulses": {
-        "conscious_center": float,
-        "conscious_sigma": float,
-        "ready_center": float,
-        "ready_sigma": float,
+        "conscious_center": (float, REQUIRED), "conscious_sigma": (float, REQUIRED),
+        "ready_center": (float, REQUIRED), "ready_sigma": (float, REQUIRED),
     },
     "formation": _FORMATION,
 }
-_TWO_SOURCES = {
+_TWO_SOURCES: Schema = {
     "envelope": _ENVELOPE,
-    "source": {"amplitude1": float, "amplitude2": float},
-    "pulses": {"center1": float, "sigma1": float, "center2": float, "sigma2": float},
-    "variant": {"arrangement": str},
+    "source": {"amplitude1": (float, REQUIRED), "amplitude2": (float, REQUIRED)},
+    "pulses": {
+        "center1": (float, REQUIRED), "sigma1": (float, REQUIRED),
+        "center2": (float, REQUIRED), "sigma2": (float, REQUIRED),
+    },
+    "variant": {"arrangement": (str, "overlap")},
     "formation": _FORMATION,
 }
 
-# every section a scenario takes; all are required but ``variant``, which has a default
-_SCENARIO_SCHEMAS: Dict[str, Dict[str, Dict[str, type]]] = {
+# the sections each scenario takes after the base ones, in the order a missing one is reported
+_SCENARIO_SCHEMAS: Dict[str, Schema] = {
     "interaction": _ONE_SOURCE,
     "unresolvable_observation": _TWO_SOURCES,
-    "turn_off": {**_TWO_SOURCES, "turn_off": {"t_off": float}},
-    "disengage": {**_TWO_SOURCES, "disengage": {"t_dis": float, "hold_steps": int}},
+    "turn_off": {**_TWO_SOURCES, "turn_off": {"t_off": (float, REQUIRED)}},
+    "disengage": {**_TWO_SOURCES, "disengage": {"t_dis": (float, REQUIRED), "hold_steps": (int, 50)}},
     "pulse_drift": {
-        "pulses": {"center": float, "sigma": float},
-        "drift": {
-            "velocity": float,
-            "shed_rate": float,
-            "duration": float,
-            "shadow": bool,
-        },
+        "pulses": {"center": (float, REQUIRED), "sigma": (float, REQUIRED)},
+        "drift": {"velocity": (float, REQUIRED), "shed_rate": (float, 0.02), "duration": (float, REQUIRED)},
     },
     "fade_in": _ONE_SOURCE,
 }
 
 SCENARIO_NAMES = tuple(_SCENARIO_SCHEMAS)
-
-_REQUIRED_KEYS = {
-    "scenario": ("name", "seed", "dt"),
-    "grid": ("n_points", "spacing"),
-    "envelope": ("kind", "t_start", "t_end"),
-    "formation": ("mode", "target_sigma"),
-    "turn_off": ("t_off",),
-    "disengage": ("t_dis",),
-    "drift": ("velocity", "duration"),
-}
-
-_DEFAULTS = {
-    ("scenario", "trials"): 100_000,
-    ("scenario", "tail_steps"): 20,
-    ("grid", "origin"): 0.0,
-    ("envelope", "fraction"): 1.0,
-    ("formation", "tau"): 0.01,
-    ("formation", "neighbor_radius"): 1,
-    ("formation", "settle_steps"): 150,
-    ("variant", "arrangement"): "overlap",
-    ("disengage", "hold_steps"): 50,
-    ("drift", "shed_rate"): 0.02,
-    ("drift", "shadow"): True,
-    ("debug", "bias_site_selection"): False,
-    ("debug", "tamper_phantom"): False,
-    ("debug", "intra_ready_transfer"): False,
-}
 
 
 def _coerce(section: str, key: str, want: type, value: Any):
@@ -187,8 +159,6 @@ class ScenarioConfig:
                     raise ConfigError(
                         f"scenario {self.name!r} takes no formation settings"
                     )
-                if value not in ("instant", "staged"):
-                    raise ConfigError(f"formation mode must be instant or staged, got {value!r}")
                 data["formation"]["mode"] = value
             else:
                 raise ConfigError(f"unknown override {name!r}")
@@ -220,30 +190,20 @@ def parse_config(mapping: Dict[str, Any]) -> ScenarioConfig:
             if key not in schema[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
 
-    required = ("scenario", "grid", *(sec for sec in _SCENARIO_SCHEMAS[name] if sec != "variant"))
-    for section in required:
-        if section not in mapping:
-            raise ConfigError(f"missing required config section {section!r}")
-        for key in _REQUIRED_KEYS.get(section, ()):
-            if key not in mapping[section]:
-                raise ConfigError(f"missing required config key {section}.{key}")
-
     data: Dict[str, Dict[str, Any]] = {}
     for section, keys in schema.items():
+        if section not in mapping and any(default is REQUIRED for _, default in keys.values()):
+            raise ConfigError(f"missing required config section {section!r}")
         src = mapping.get(section, {})
         out = {}
-        for key, want in keys.items():
+        for key, (want, default) in keys.items():
             if key in src:
                 out[key] = _coerce(section, key, want, src[key])
-            elif (section, key) in _DEFAULTS:
-                out[key] = _DEFAULTS[(section, key)]
-        data[section] = out
-
-    # source and pulses carry no defaults; every schema key must be present
-    for section in ("source", "pulses"):
-        for key in schema.get(section, ()):
-            if key not in data[section]:
+            elif default is REQUIRED:
                 raise ConfigError(f"missing required config key {section}.{key}")
+            else:
+                out[key] = default
+        data[section] = out
 
     _check_values(name, data)
     return ScenarioConfig(name=name, data=data, raw=copy.deepcopy(mapping))

@@ -45,28 +45,19 @@ MAX_STEP_HIT_PROBABILITY = 0.05
 
 
 class RngStream:
-    """Counted uniform stream for one trajectory.
+    """Uniform stream for one trajectory.
 
     Derived from (seed, trial) through numpy's SeedSequence spawn-key
     mechanism, so distinct trials get statistically independent streams and
-    identical (seed, trial) pairs replay bit-exactly. ``counter`` records
-    how many uniforms have been drawn.
+    identical (seed, trial) pairs replay bit-exactly.
     """
 
     def __init__(self, seed: int, trial: int = 0):
-        self.seed = int(seed)
-        self.trial = int(trial)
-        self.counter = 0
-        key = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.trial,))
+        key = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial),))
         self._gen = np.random.Generator(np.random.PCG64(key))
 
     def uniform(self) -> float:
-        self.counter += 1
         return float(self._gen.random())
-
-    def uniforms(self, n: int) -> np.ndarray:
-        self.counter += n
-        return self._gen.random(n)
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,7 @@ from .errors import (
     NonpositiveS,
     Rule4Violation,
     SimulationError,
+    TooFewTrials,
 )
 from .reduction import (
     MAX_STEP_HIT_PROBABILITY,
@@ -123,7 +124,6 @@ PHANTOM_FREEZE_TOL = 1e-12
 PROVENANCE_TOL = 1e-12
 CHUNK_TRIALS = 1 << 16  # trials drawn and placed at a time by run_batch
 HIT_STEP_BUCKETS = 1 << 12  # buckets of the hit-step table: a power of two, so u * buckets is exact
-SAMPLE_EVENTS = 32  # leading events a batch materializes for logs
 MAX_SITE_TABLE_BYTES = 1 << 30
 MAX_STEPS = 100_000  # steps one run may build or step
 
@@ -387,21 +387,22 @@ def _check_steps(steps: float, keys: Tuple[str, ...]) -> None:
 _BACKBONE_KEYS = ("scenario.dt", "envelope.t_start", "envelope.t_end", "scenario.tail_steps")
 
 
-def _scenario_step_count(cfg: ScenarioConfig) -> int:
-    """Steps of the scenario's backbone, checked before anything is built: the rounded
-    ramp and the tail, and more while the repeated ``t + dt`` sums fall short of t_end."""
+def _backbone_times(cfg: ScenarioConfig) -> List[float]:
+    """The scenario's backbone time grid, checked before anything is built: repeated
+    ``t + dt`` sums from t_start over the rounded ramp and the tail, and more while they
+    fall short of t_end. Its step count is one less than its length."""
     if not SCENARIOS[cfg.name].ready_terms:
         raise SimulationError(f"scenario {cfg.name!r} has no ramp backbone")
     env, tail = cfg.data["envelope"], cfg.data["scenario"]["tail_steps"]
     ramp = (env["t_end"] - env["t_start"]) / cfg.dt
     _check_steps(ramp + tail, _BACKBONE_KEYS)
-    n_steps, t = int(round(ramp)) + tail, env["t_start"]
-    for _ in range(n_steps):
-        t = t + cfg.dt
-    while t < env["t_end"]:  # with no tail, the rounded ramp can stop short
-        n_steps, t = n_steps + 1, t + cfg.dt
-        _check_steps(n_steps, _BACKBONE_KEYS)
-    return n_steps
+    times = [env["t_start"]]
+    for _ in range(int(round(ramp)) + tail):
+        times.append(times[-1] + cfg.dt)
+    while times[-1] < env["t_end"]:  # with no tail, the rounded ramp can stop short
+        _check_steps(len(times), _BACKBONE_KEYS)
+        times.append(times[-1] + cfg.dt)
+    return times
 
 
 def _hit_targets(state: SystemState) -> Tuple[Tuple[int, ...], np.ndarray]:
@@ -420,7 +421,7 @@ def build_backbone(cfg: ScenarioConfig) -> Backbone:
     ``envelope_factors`` call per time gives both its coefficients and its
     ``dst_factor``.
     """
-    n_steps = _scenario_step_count(cfg)
+    times = _backbone_times(cfg)
     state0, schedule = build_initial(cfg)
     pairs = rule4_pairs(state0, schedule)
     if pairs:
@@ -428,9 +429,6 @@ def build_backbone(cfg: ScenarioConfig) -> Backbone:
     dt, s = cfg.dt, state0.s
     ready_ids, ready_amps = _hit_targets(state0)
 
-    times = [state0.time]
-    for _ in range(n_steps):
-        times.append(times[-1] + dt)
     factors = [schedule.envelope_factors(t) for t in times]
     rows = [[t.coefficient for t in state0.terms]]
     for f in factors[1:]:
@@ -515,7 +513,7 @@ class Placement:
 
 @dataclass
 class EventBatch:
-    """Streaming aggregates of one batch run; no per-trial array is kept.
+    """Streaming aggregates of one batch run; no per-trial array or event is kept.
 
     ``final_identity``: (1/s) times the survivors' square modulus at each
     observed site's first hit, rescaled by the ramp progress at t_sc to
@@ -530,7 +528,6 @@ class EventBatch:
     spot_count: int
     final_identity: float
     max_provenance_error: float
-    samples: List[ReductionEvent]
     events_digest: str
 
 
@@ -668,7 +665,7 @@ def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple
     from concurrent.futures import ThreadPoolExecutor
 
     n_points = cfg.data["grid"]["n_points"]
-    n_steps = _scenario_step_count(cfg)
+    n_steps = len(_backbone_times(cfg)) - 1
     table_bytes = 8 * n_steps * SCENARIOS[cfg.name].ready_terms * n_points
     if table_bytes > MAX_SITE_TABLE_BYTES:
         raise ConfigError(
@@ -682,8 +679,7 @@ def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple
         bb.coeffs[:, ready], bb.ready_amps, bb.dt, bb.state0.s, cfg.data["debug"]["bias_site_selection"]
     )
     ready_terms = [bb.state0.terms[n] for n in ready]
-    labels = [t.apparatus_label for t in ready_terms]
-    spot_col = labels.index(2)
+    spot_col = [t.apparatus_label for t in ready_terms].index(2)
     # complex site amplitudes, site-major, for the provenance recomputation
     site_amps = np.vstack([t.brain.site_amplitudes(bb.state0.grid) for t in ready_terms]).T.copy()
     n_steps, n_sites = len(bb.cum_budget), len(site_amps)
@@ -696,7 +692,6 @@ def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple
     first_mass = np.zeros(n_sites)
     spot_count = 0
     prov_err = 0.0
-    samples: List[ReductionEvent] = []
     # written and hashed by the helper thread alone; a chunk is handed over only
     # once the one before it is hashed, so at most one waits and memory stays bounded
     row_buf = np.empty((min(CHUNK_TRIALS, cfg.trials), 8 + 2 * len(ready)))
@@ -735,16 +730,6 @@ def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple
             new = np.flatnonzero((first < len(sites)) & (site_counts == 0))
             first_mass[new] = post[first[new]] / p.ramp_progress[first[new]] ** 2
             site_counts += np.bincount(sites, minlength=n_sites)
-            for j, i in enumerate(p.trial[: SAMPLE_EVENTS - len(samples)].tolist()):
-                samples.append(ReductionEvent(
-                    t_sc=float(p.t_sc[j]),
-                    term_hit=int(p.term_hit[j]),
-                    u_sc=int(sites[j]),
-                    pre_norm=float(p.pre_norm[j]),
-                    post_coefficients={int(lbl): complex(c) for lbl, c in zip(labels, surv[j]) if c != 0},
-                    rng_draws=(float(draws[i, 0]), float(draws[i, 1])),
-                    ramp_progress=float(p.ramp_progress[j]),
-                ))
         hashing.result()
 
     return bb, EventBatch(
@@ -755,7 +740,6 @@ def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple
         spot_count=spot_count,
         final_identity=float(first_mass[site_counts > 0].sum() / bb.state0.s),
         max_provenance_error=prov_err,
-        samples=samples,
         events_digest=digest.hexdigest(),
     )
 
@@ -1051,14 +1035,16 @@ def run_interaction(cfg: ScenarioConfig) -> ScenarioResult:
         "events_digest": batch.events_digest,
         **bb.audits,
     }
-    return ScenarioResult(name=cfg.name, config=cfg, summary=summary, events=batch.samples)
+    return ScenarioResult(name=cfg.name, config=cfg, summary=summary)
 
 
 def run_unresolvable_observation(cfg: ScenarioConfig) -> ScenarioResult:
     """Two sources, overlapping or disjoint ready profiles, one observer.
 
-    Every complete run reduces; survivors are all labels with weight at the
-    chosen site. The summary reports multiplicity statistics, provenance
+    Every trial of a complete transfer reduces (``all_trials_reduced``,
+    null on a partial transfer, where a trial may see no hit); survivors
+    are all labels with weight at the chosen site. The summary reports
+    multiplicity statistics, provenance
     error, and the final-vs-initial probability identity via quadrature over
     the observed sites (coefficients rescaled to envelope-final values by
     the recorded ramp progress).
@@ -1076,7 +1062,7 @@ def run_unresolvable_observation(cfg: ScenarioConfig) -> ScenarioResult:
         "scenario": cfg.name,
         "arrangement": cfg.data["variant"]["arrangement"],
         "n_trials": cfg.trials,
-        "all_trials_reduced": batch.n_hits == batch.n_trials,
+        "all_trials_reduced": batch.n_hits == batch.n_trials if bb.complete else None,
         "multiplicity_counts": batch.multiplicity_counts,
         "max_provenance_error": batch.max_provenance_error,
         "final_identity_estimate": batch.final_identity,
@@ -1088,21 +1074,26 @@ def run_unresolvable_observation(cfg: ScenarioConfig) -> ScenarioResult:
         "events_digest": batch.events_digest,
         **bb.audits,
     }
-    return ScenarioResult(name=cfg.name, config=cfg, summary=summary, events=batch.samples)
+    return ScenarioResult(name=cfg.name, config=cfg, summary=summary)
 
 
 def run_turn_off(cfg: ScenarioConfig) -> ScenarioResult:
     """Observation followed by switching the first source off.
 
-    Per trial the spot survives with Born weight |c_2|^2 / (|c_1|^2+|c_2|^2)
-    at the chosen site; aggregated this reproduces P_2 = |a_2|^2 / s for
-    overlapping and disjoint profiles alike.
+    A hit's spot survives with Born weight |c_2|^2 / (|c_1|^2+|c_2|^2) at
+    the chosen site. Both ready coefficients follow one ramp factor, so that
+    weight does not depend on t_sc, and over all trials, hit or not, the
+    spot rate is P_2 = |a_2(end)|^2 / s for overlapping and disjoint
+    profiles alike and for any envelope fraction. The rate is judged only
+    on 1000 hits or more (``TooFewTrials`` otherwise).
     """
     bb, batch = run_batch(cfg)
+    if batch.n_hits < 1000:
+        raise TooFewTrials(f"{batch.n_hits} samples < required 1000")
     label2 = next(n for n in bb.ready_ids if bb.state0.terms[n].apparatus_label == 2)
     a2_sq = float(np.abs(bb.coeffs[-1, label2]) ** 2)
     closed = analysis.closed_form_p_hit(a2_sq, bb.state0.s)
-    report = analysis.compare(batch.spot_count, batch.n_hits, closed)
+    report = analysis.compare(batch.spot_count, batch.n_trials, closed)
     summary = {
         "scenario": cfg.name,
         "arrangement": cfg.data["variant"]["arrangement"],
@@ -1112,11 +1103,11 @@ def run_turn_off(cfg: ScenarioConfig) -> ScenarioResult:
         "std_error": report.std_error,
         "z_score": report.z_score,
         "probability_pass": report.passed,
-        "all_trials_reduced": batch.n_hits == batch.n_trials,
+        "all_trials_reduced": batch.n_hits == batch.n_trials if bb.complete else None,
         "events_digest": batch.events_digest,
         **bb.audits,
     }
-    return ScenarioResult(name=cfg.name, config=cfg, summary=summary, events=batch.samples)
+    return ScenarioResult(name=cfg.name, config=cfg, summary=summary)
 
 
 def run_disengage(cfg: ScenarioConfig) -> ScenarioResult:
@@ -1203,7 +1194,7 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
     _check_steps(dr["duration"] / dt, ("drift.duration", "scenario.dt"))
     n_steps = int(round(dr["duration"] / dt))
     velocity = dr["velocity"]
-    shedding = dr["shadow"] and dr["shed_rate"] > 0.0
+    shedding = dr["shed_rate"] > 0.0
     kernel = DriftKernel.of(state.grid, velocity, dt, dr["shed_rate"] if shedding else 0.0)
     cons, shadow = state.terms
     n_points = state.grid.n_points
@@ -1452,7 +1443,7 @@ class Scenario:
         past = (cfg.get(self.until) - cfg.data["envelope"]["t_end"]) / cfg.dt if self.until else 0.0
         hold = cfg.get(self.hold) if isinstance(self.hold, str) else self.hold
         keys = _BACKBONE_KEYS + tuple(k for k in (self.until, self.hold) if isinstance(k, str))
-        _check_steps(_scenario_step_count(cfg) + past + hold, keys)
+        _check_steps(len(_backbone_times(cfg)) - 1 + past + hold, keys)
         return int(round(past)) + hold
 
 

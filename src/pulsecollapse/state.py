@@ -53,7 +53,6 @@ __all__ = [
     "SystemState",
     "make_gaussian_pulse",
     "delta_pulse",
-    "pulse_from_weights",
     "pulse_overlap",
     "profile_norm_sq",
     "total_square_modulus",
@@ -62,8 +61,6 @@ __all__ = [
 # Amplitude below exp(-18) of the peak is clipped to exactly zero so that
 # well-separated pulses are disjoint in floating point, not merely tiny.
 GAUSSIAN_TRUNCATION_SIGMAS = 6.0
-
-NORM_TOL = 1e-9
 
 
 class PulseKind(enum.Enum):
@@ -103,10 +100,6 @@ class BrainGrid:
         u = self.origin + self.spacing * np.arange(self.n_points)
         u.setflags(write=False)
         return u
-
-    @property
-    def u_min(self) -> float:
-        return self.origin
 
     @property
     def u_max(self) -> float:
@@ -252,11 +245,6 @@ class Pulse:
             raise GridMismatch("factor grid differs from state grid")
         return self.weights * math.sqrt(self.grid.spacing)
 
-    def site_amplitude(self, index: int) -> complex:
-        if not 0 <= index < self.grid.n_points:
-            raise IndexOutOfRange(f"site index {index} outside grid")
-        return complex(self.weights[index]) * math.sqrt(self.grid.spacing)
-
     def with_kind(self, kind: PulseKind) -> "Pulse":
         return replace(self, kind=kind)
 
@@ -395,9 +383,9 @@ def make_gaussian_pulse(
     du = grid.spacing
     if sigma < 2.0 * du:
         raise GridTooCoarse(f"sigma {sigma} < 2 * spacing {2.0 * du}: unresolvable")
-    if not grid.u_min <= center <= grid.u_max:
-        raise CenterOutOfRange(f"center {center} outside [{grid.u_min}, {grid.u_max}]")
-    if center - 4.0 * sigma < grid.u_min or center + 4.0 * sigma > grid.u_max:
+    if not grid.origin <= center <= grid.u_max:
+        raise CenterOutOfRange(f"center {center} outside [{grid.origin}, {grid.u_max}]")
+    if center - 4.0 * sigma < grid.origin or center + 4.0 * sigma > grid.u_max:
         raise CenterOutOfRange(
             f"center {center} closer than 4 sigma ({4.0 * sigma}) to a grid edge"
         )
@@ -416,16 +404,6 @@ def delta_pulse(grid: BrainGrid, index: int, kind: PulseKind) -> Pulse:
     w = np.zeros(grid.n_points)
     w[index] = 1.0 / math.sqrt(grid.spacing)
     return Pulse(kind=kind, grid=grid, weights=w, center_index=index, formation_stage=0.0)
-
-
-def pulse_from_weights(grid: BrainGrid, weights: np.ndarray, kind: PulseKind, **extra) -> Pulse:
-    """Pulse from a raw profile, renormalized to unit square modulus."""
-    w = np.asarray(weights, dtype=np.complex128)
-    nrm = math.sqrt(float(np.sum(np.abs(w) ** 2)) * grid.spacing)
-    if nrm == 0.0:
-        raise ZeroDivisionError("cannot normalize an all-zero profile")
-    w = w / nrm
-    return Pulse(kind=kind, grid=grid, weights=w, center_index=int(np.argmax(np.abs(w))), **extra)
 
 
 def pulse_overlap(p: Pulse, q: Pulse) -> float:

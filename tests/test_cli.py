@@ -338,7 +338,7 @@ class TestExitCodes:
         assert err.startswith("config error:") and str(path) in err
 
     @pytest.mark.parametrize("command", ["run", "verify"])
-    @pytest.mark.parametrize("drift", [{"shadow": False}, {"shed_rate": 0.0}], ids=["no_shadow", "no_shedding"])
+    @pytest.mark.parametrize("drift", [{"shed_rate": 0.0}], ids=["no_shedding"])
     def test_tamper_with_no_phantom_exits_1_naming_it(self, command, drift, tmp_path, capsys):
         """A tamper control that finds no phantom site to move must not pass as a clean run."""
         mapping = load_yaml("pulse_drift.yaml")
@@ -391,6 +391,15 @@ class TestExitCodes:
         path = write_yaml(tmp_path, "guard.yaml", mapping)
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "b")]) == 1
         assert capsys.readouterr().err == "config error: unknown config key scenario.guard\n"
+
+    def test_drift_shadow_is_an_unknown_key(self, tmp_path, capsys):
+        """A drift sheds into its shadow unless drift.shed_rate is 0, so no key switches the shadow."""
+        mapping = load_yaml("pulse_drift.yaml")
+        mapping["drift"]["shadow"] = True
+        path = write_yaml(tmp_path, "shadow.yaml", mapping)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "config error: unknown config key drift.shadow\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["montecarlo", "verify"])
     def test_provenance_breach_exits_2_naming_it(self, command, tmp_path, capsys, monkeypatch):
@@ -643,6 +652,32 @@ class TestMontecarlo:
         assert report["summary"]["probability_pass"]
         assert report["summary"]["closed_form_p_hit"] == pytest.approx(0.3, abs=1e-12)
 
+    @pytest.mark.parametrize("name", [n for n in BATCH_CONFIGS if not n.startswith("interaction")])
+    def test_partial_transfer_passes(self, name, tmp_path):
+        """With envelope.fraction 0.5 a trial may see no hit: all_trials_reduced is null and the
+        turn-off spot rate is taken over all trials, so these runs pass (each exited 3 before)."""
+        mapping = load_yaml(name)
+        mapping["envelope"]["fraction"] = 0.5
+        path = write_yaml(tmp_path, "half.yaml", mapping)
+        out = tmp_path / "mc"
+        assert cli.main(["montecarlo", "--config", path, "--trials", "100000", "--out", str(out)]) == 0
+        summary = json.loads(read(out / "report.json"))["summary"]
+        assert summary["all_trials_reduced"] is None
+        if "closed_form_p2" in summary:
+            assert summary["closed_form_p2"] == pytest.approx(0.25, abs=1e-12)
+            assert abs(summary["z_score"]) <= 3.0
+
+    def test_biased_partial_transfer_still_exits_3(self, tmp_path, capsys):
+        """The site-selection control still trips the histogram and the final identity of a partial transfer."""
+        mapping = load_yaml("observation_overlap.yaml")
+        mapping["envelope"]["fraction"] = 0.5
+        mapping["debug"] = {"bias_site_selection": True}
+        path = write_yaml(tmp_path, "half_biased.yaml", mapping)
+        assert cli.main(["montecarlo", "--config", path, "--trials", "100000", "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("FAIL site histogram chi2 p=") and "\nFAIL final identity " in err
+        assert err.count("FAIL") == 2
+
     def test_unsupported_scenario_rejected(self, tmp_path, capsys):
         code = cli.main(
             ["montecarlo", "--config", cfg_path("fade_in.yaml"), "--out", str(tmp_path / "o")]
@@ -685,6 +720,14 @@ class TestEnvOverrides:
             "config error: unknown environment variable PULSECOLLAPSE_GUARD; known: PULSECOLLAPSE_CONFIG, "
             "PULSECOLLAPSE_FORMATION, PULSECOLLAPSE_OUT, PULSECOLLAPSE_SEED, PULSECOLLAPSE_TRIALS\n"
         )
+        assert not out.exists()
+
+    def test_bogus_env_formation_exits_1_naming_the_key(self, tmp_path, monkeypatch, capsys):
+        """--formation is limited to its choices; the environment variable is checked as the key is."""
+        monkeypatch.setenv("PULSECOLLAPSE_FORMATION", "bogus")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg_path("interaction.yaml"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: formation.mode must be instant or staged, got 'bogus'\n"
         assert not out.exists()
 
     def test_bad_env_value_exits_1(self, tmp_path, monkeypatch):

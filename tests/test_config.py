@@ -1,11 +1,12 @@
 """Config schema tests: strict validation in both directions."""
 
+import copy
 import os
 
 import pytest
 import yaml
 
-from pulsecollapse import cli
+from pulsecollapse import cli, config
 from pulsecollapse.config import MAX_GRID_POINTS, load_config, parse_config
 from pulsecollapse.errors import ConfigError
 from tests.conftest import bundled_config
@@ -120,6 +121,36 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown override 'guard'"):
             parse_config(minimal_interaction()).with_overrides(guard="off")
 
+    def test_drift_shadow_is_an_unknown_key(self):
+        """A drift sheds into its shadow unless drift.shed_rate is 0, so no key switches the shadow."""
+        raw = copy.deepcopy(bundled_config("pulse_drift.yaml").raw)
+        raw["drift"]["shadow"] = True
+        with pytest.raises(ConfigError, match=r"^unknown config key drift\.shadow$"):
+            parse_config(raw)
+
+
+class TestEveryKey:
+    """Each key of the schema table is required or has a default, and nothing else decides
+    which; test_each_missing_section_is_named covers whole sections."""
+
+    @pytest.mark.parametrize("name", cli.BUNDLED_CONFIGS)
+    def test_deleting_a_key_names_it_or_fills_its_default(self, name):
+        cfg = bundled_config(name)
+        for section, keys in {**config._BASE_SCHEMA, **config._SCENARIO_SCHEMAS[cfg.name]}.items():
+            for key, (_, default) in keys.items():
+                mapping = copy.deepcopy(cfg.raw)
+                mapping.get(section, {}).pop(key, None)
+                if default is config.REQUIRED:
+                    with pytest.raises(ConfigError) as info:
+                        parse_config(mapping)
+                    want = "config must contain scenario.name" if key == "name" else \
+                        f"missing required config key {section}.{key}"
+                    assert str(info.value) == want
+                else:
+                    data = copy.deepcopy(cfg.data)
+                    data[section][key] = default
+                    assert parse_config(mapping).data == data, f"{section}.{key}"
+
 
 class TestValueChecks:
     def test_dt_must_resolve_the_window(self):
@@ -199,6 +230,11 @@ class TestOverrides:
         cfg = parse_config(minimal_interaction(formation__tau=0.05))
         out = cfg.with_overrides(formation_mode="staged")
         assert out.data["formation"]["mode"] == "staged"
+
+    def test_bogus_formation_mode_override_names_the_key(self):
+        cfg = parse_config(minimal_interaction())
+        with pytest.raises(ConfigError, match=r"^formation\.mode must be instant or staged, got 'bogus'$"):
+            cfg.with_overrides(formation_mode="bogus")
 
     def test_unknown_override_rejected(self):
         cfg = parse_config(minimal_interaction())

@@ -91,7 +91,7 @@ def test_rng_stream_reproducible():
     a = RngStream(1234, trial=7)
     b = RngStream(1234, trial=7)
     c = RngStream(1234, trial=8)
-    da, db, dc = a.uniforms(5), b.uniforms(5), c.uniforms(5)
+    da, db, dc = (np.array([r.uniform() for _ in range(5)]) for r in (a, b, c))
     np.testing.assert_array_equal(da, db)
     assert not np.array_equal(da, dc)
     assert np.all((0 <= da) & (da < 1))
