@@ -7,9 +7,10 @@ currents. No driver calls ``step``: the tests step it as the reference the
 closed-form backbone must equal. Pulse formation after a hit and
 conscious-pulse drift with a ready shadow live here too, each as a kernel
 on plain arrays with its loop invariants computed once. ``FormationKernel``
-widens a forming pulse one row per step over an occupied interval and stops
-recomputing once a row repeats; ``_advance_formation`` is one kernel step
-on a pulse, and a trajectory past its hit steps the kernel itself.
+widens a forming pulse over an occupied interval any number of rows at a
+time, in 2-D blocks of rows, and stops computing once a row repeats;
+``_advance_formation`` is one kernel row on a pulse, and a trajectory past
+its hit advances the kernel a segment at a time.
 ``DriftKernel`` moves the conscious pulse and feeds the shadow, carrying
 ``DriftArrays`` from step to step; ``drift_pulse`` is one kernel step on a
 state, and ``drifted_state`` rebuilds a state from the kernel's arrays
@@ -23,6 +24,7 @@ per-site entries of a proportionally growing pulse split a term's current as
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -77,6 +79,9 @@ PHANTOM_CURRENT_FLOOR = 1e-12
 COEFF_MATCH_TOL = 1e-9
 
 MIN_RAMP_STEPS = 100
+
+# elements of one block of formation rows: FormationKernel.advance's memory is bounded at any grid size
+FORMATION_BLOCK = 1 << 16
 
 
 class RampKind(enum.Enum):
@@ -273,19 +278,24 @@ def _site_masses(state: SystemState) -> Dict[int, np.ndarray]:
 
 
 class FormationKernel:
-    """Staged formation of one pulse on plain arrays, one row per ``step``.
+    """Staged formation of one pulse on plain arrays, any number of rows per ``advance``.
 
-    It holds the stage, the occupied interval ``[lo, hi]`` (the nonzero
-    sites, which grow outward from the centre) and the loop invariants
-    ``-(u - c)**2`` and ``|u - c|``. A step widens the set to
-    ``[lo - r, hi + r]`` clipped to the grid and recomputes the profile in
-    the order of the formation law: stage, ``sigma_eff``, ``exp``, the 6σ
-    cut, the interval cut, then the full-grid normalisation. Once a step
-    would repeat the last row's stage and interval bit for bit, every later
-    row is that row, and the kernel stops recomputing. Each row's occupied
-    count, stage and norm are read off the arrays, and its peak must stay
-    at the centre. ``pulse`` builds the ``Pulse`` of the current row;
-    ``_advance_formation`` is one step of a kernel made from a pulse.
+    It holds the current row (stage, weights, norm, the occupied interval
+    ``[lo, hi]`` of its nonzero sites, which grow outward from the centre,
+    and the interval ``grown`` it was cut to) and the loop invariants
+    ``-(u - c)**2`` and ``|u - c|``. A row's stage is ``1 - (1 - stage) *
+    decay`` of the last row's, its ``grown`` is the last row's ``[lo - r,
+    hi + r]`` clipped to the grid, and its occupied interval is ``grown``
+    within the 6σ window of its ``sigma_eff``: all three follow from the
+    stages alone, so ``advance`` runs them first as scalar loops. Once a row
+    would repeat the last row's stage and ``grown`` bit for bit, every later
+    row is that row, and the kernel stops computing. The distinct rows are
+    evaluated in blocks of at most FORMATION_BLOCK elements, in the order of
+    the formation law: ``exp``, the 6σ cut, the interval cut, then the
+    full-grid normalisation. Every row's peak must stay at the centre and its
+    nonzero sites must be its occupied interval. ``pulse`` builds the
+    ``Pulse`` of the current row; ``_advance_formation`` is one row of a
+    kernel made from a pulse.
     """
 
     def __init__(self, pulse: Pulse, dt: float):
@@ -298,38 +308,66 @@ class FormationKernel:
         offset = grid.sites - grid.coord(pulse.center_index)
         self.neg_sq = -(offset**2)
         self.dist = np.abs(offset)
+        # |u - c| falls to 0 at the centre and rises past it: the 6σ window is an interval
+        self._left = (-self.dist[: pulse.center_index + 1]).tolist()
+        self._right = self.dist[pulse.center_index :].tolist()
         self.stage = pulse.formation_stage
         self.grown: Optional[Tuple[int, int]] = None  # the interval the current row was cut to
-        self._take(pulse.weights.real, pulse.norm_sq())
-
-    def _take(self, weights: np.ndarray, norm_sq: float) -> None:
-        occupied = weights.nonzero()[0]
+        self.weights = pulse.weights.real
+        occupied = self.weights.nonzero()[0]
         if len(occupied) == 0:
             raise SimulationError("a forming pulse must occupy at least one site")
         self.lo, self.hi = int(occupied[0]), int(occupied[-1])
         if len(occupied) != self.hi - self.lo + 1:
             raise SimulationError(f"the occupied sites of a forming pulse are not an interval: {occupied}")
-        self.weights, self.occupied, self.norm_sq = weights, len(occupied), norm_sq
+        self.occupied, self.norm_sq = len(occupied), pulse.norm_sq()
 
-    def step(self) -> None:
-        """Advance the profile by one formation row."""
-        stage = 1.0 - (1.0 - self.stage) * self.decay
-        grown = (max(self.lo - self.policy.neighbor_radius, 0),
-                 min(self.hi + self.policy.neighbor_radius, self.grid.n_points - 1))
-        if stage == self.stage and grown == self.grown:
-            return  # the same inputs as the current row: it repeats from here on
-        du = self.du
-        sigma_eff = self.policy.target_sigma * stage + 2.0 * du * (1.0 - stage)
-        w = np.exp(self.neg_sq / (2.0 * sigma_eff**2))
-        np.putmask(w, self.dist > 6.0 * sigma_eff, 0.0)
-        w[: grown[0]] = 0.0
-        w[grown[1] + 1 :] = 0.0
-        w = w / math.sqrt(float(np.add.reduce(w**2)) * du)
-        peak = int(w.argmax())
-        if peak != self.center_index:
-            raise IndexOutOfRange(f"center_index {self.center_index} is not the peak site {peak}")
-        self.stage, self.grown = stage, grown
-        self._take(w, profile_norm_sq(w, du))
+    def advance(self, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance the profile by ``n`` formation rows; return each row's stage,
+        norm and occupied count, and leave the kernel on the last row."""
+        radius, last, centre = self.policy.neighbor_radius, self.grid.n_points - 1, self.center_index
+        stage, grown, lo, hi = self.stage, self.grown, self.lo, self.hi
+        rows = []  # (stage, 2 sigma_eff**2, 6 sigma_eff, grown, lo, hi) of each distinct row
+        for _ in range(n):
+            nxt = 1.0 - (1.0 - stage) * self.decay
+            cut = (max(lo - radius, 0), min(hi + radius, last))
+            if nxt == stage and cut == grown:
+                break  # the same inputs as the last row: it repeats from here on
+            stage, grown = nxt, cut
+            sigma_eff = self.policy.target_sigma * stage + 2.0 * self.du * (1.0 - stage)
+            reach = 6.0 * sigma_eff
+            lo = max(grown[0], bisect.bisect_left(self._left, -reach))
+            hi = min(grown[1], centre + bisect.bisect_right(self._right, reach) - 1)
+            rows.append((stage, 2.0 * sigma_eff**2, reach, *grown, lo, hi))
+
+        if not rows:  # the current row repeats
+            return np.full(n, self.stage), np.full(n, self.norm_sq), np.full(n, self.occupied)
+        stages, denom, reach, g0, g1, lo_at, hi_at = (np.array(col) for col in zip(*rows))
+        norms = np.empty(len(rows))
+        sites = np.arange(self.grid.n_points)
+        per_block = max(1, FORMATION_BLOCK // self.grid.n_points)
+        for at in range(0, len(rows), per_block):
+            block = slice(at, at + per_block)
+            w = np.exp(self.neg_sq / denom[block, None])
+            np.putmask(w, self.dist > reach[block, None], 0.0)
+            np.putmask(w, (sites < g0[block, None]) | (sites > g1[block, None]), 0.0)
+            w /= np.sqrt(np.add.reduce(w**2, axis=1) * self.du)[:, None]
+            inside = (sites >= lo_at[block, None]) & (sites <= hi_at[block, None])
+            peaks = w.argmax(axis=1)
+            bad = np.flatnonzero((peaks != centre) | np.any((w != 0.0) != inside, axis=1))
+            if bad.size:  # refuse the first bad row, its peak first
+                j = bad[0]
+                if peaks[j] != centre:
+                    raise IndexOutOfRange(f"center_index {centre} is not the peak site {peaks[j]}")
+                raise SimulationError(
+                    f"the occupied sites of a forming pulse are not the interval "
+                    f"[{lo_at[at + j]}, {hi_at[at + j]}]: {w[j].nonzero()[0]}"
+                )
+            norms[block] = np.add.reduce(w**2, axis=1) * self.du
+        self.stage, self.grown, self.lo, self.hi = stage, grown, lo, hi
+        self.weights, self.occupied, self.norm_sq = w[-1].copy(), hi - lo + 1, float(norms[-1])
+        # rows past the fixed point repeat the last one computed
+        return tuple(np.pad(a, (0, n - len(rows)), mode="edge") for a in (stages, norms, hi_at - lo_at + 1))
 
     def pulse(self) -> Pulse:
         """The current row as a validated ``Pulse``."""
@@ -345,9 +383,9 @@ class FormationKernel:
 
 
 def _advance_formation(pulse: Pulse, dt: float) -> Pulse:
-    """A forming pulse one staged-formation step later: one ``FormationKernel`` step."""
+    """A forming pulse one staged-formation step later: one ``FormationKernel`` row."""
     kernel = FormationKernel(pulse, dt)
-    kernel.step()
+    kernel.advance(1)
     return kernel.pulse()
 
 

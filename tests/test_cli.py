@@ -50,6 +50,28 @@ GOLDEN_RUNS = {
     "fade_in.yaml@3": "9651e9c191488207f397210925bb654465c27dcaa016daa172c409373f20e4d2",
 }
 
+# sha256 of the same three files from `run` on a variant of a bundled config, keyed
+# "config variant" or "config variant@seed". Staged formation runs on through the turn-off and
+# disengage events, and at tau 0.5 the pulse is still forming when they apply.
+RUN_VARIANTS = {  # variant -> (keys replaced, flags)
+    "staged": ({}, ["--formation", "staged"]),
+    "staged tau 0.5": ({"formation": {"tau": 0.5}}, ["--formation", "staged"]),
+    "linear 0.37 no tail": ({"envelope": {"kind": "linear", "fraction": 0.37}, "scenario": {"tail_steps": 0}}, []),
+}
+GOLDEN_VARIANT_RUNS = {
+    "turn_off_overlap.yaml staged@1": "6ff8b2caf1de598c32075cc1131c3beb8e1a00976c9d934d145e32d549c58293",
+    "turn_off_overlap.yaml staged@2": "23938bc2432d0414ede9436569db0ee803516b819f409e81425ff0163ed626f9",
+    "turn_off_overlap.yaml staged@3": "22851f5ad940eb2d93a4687c2748106571f25eac3901f8c234c58332dbae119e",
+    "turn_off_overlap.yaml staged tau 0.5": "856eeb6595871b164a9769883b0eebba4591c0eca7c092d65917d78e9ee80376",
+    "disengage.yaml staged@1": "896d3ca2dae87175a8154d350308f307c64021fd8c53f64581c136eab4df5664",
+    "disengage.yaml staged@2": "0568814d1db5915949f8c283b505eb3a5795b244b6f1581f7cbd8fab271c6286",
+    "disengage.yaml staged@3": "c9d746acf4e7d79efe902ef2a9458c3add14e350583c7bb30ad673b800b795bb",
+    "disengage.yaml staged tau 0.5": "175d8b29761746a11a0ab21aa7bafb50a28d2dbebd329c934a3165720fc3f1d8",
+    # no hit at the config's own seed, a hit at seed 9
+    "interaction.yaml linear 0.37 no tail": "1e62ff611cdf834dff77d1f35fc0aa9827a5dd6f508e5fbc7ea0eac3660a23c5",
+    "interaction.yaml linear 0.37 no tail@9": "74458b42d89ac310ee2e1aa7dfb42f84c8fd11748c5909914bc9c2708293459d",
+}
+
 # sha256 of report.json from `verify` over the bundled configs
 GOLDEN_VERIFY_REPORT = "4fb67c799fe04db652a229ca8abcf44e36e5610da4e120af06d81b087324795c"
 
@@ -194,6 +216,21 @@ class TestRun:
         assert cli.main(argv + (["--seed", seed] if seed else [])) == 0
         data = b"".join(read(tmp_path / f) for f in ("trajectory.csv", "events.json", "summary.json"))
         assert hashlib.sha256(data).hexdigest() == GOLDEN_RUNS[name]
+
+    @pytest.mark.parametrize("name", GOLDEN_VARIANT_RUNS)
+    def test_golden_variant_run_outputs(self, name, tmp_path):
+        """The run outputs of a config variant are pinned like those of the bundled configs."""
+        config, _, variant = name.partition(" ")
+        variant, _, seed = variant.partition("@")
+        sections, flags = RUN_VARIANTS[variant]
+        mapping = load_yaml(config)
+        for section, values in sections.items():
+            mapping[section].update(values)
+        out = tmp_path / "r"
+        argv = ["run", "--config", write_yaml(tmp_path, config, mapping), "--out", str(out)] + flags
+        assert cli.main(argv + (["--seed", seed] if seed else [])) == 0
+        data = b"".join(read(out / f) for f in ("trajectory.csv", "events.json", "summary.json"))
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_VARIANT_RUNS[name]
 
     def test_drift_run_writes_trajectory(self, tmp_path):
         out = tmp_path / "r"
@@ -748,6 +785,29 @@ class TestVerify:
         names = {c["invariant"] for c in report["checks"]}
         assert {"normalization", "conservation", "determinism", "reduction-zeroing"} <= names
         assert "PASS" in capsys.readouterr().out
+
+    def test_partial_transfer_examines_a_hit(self, tmp_path):
+        """At fraction 0.01 trial 0 misses; the zeroing row examines the first trial that hits."""
+        mapping = load_yaml("observation_overlap.yaml")
+        mapping["envelope"]["fraction"] = 0.01
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--config", write_yaml(tmp_path, "partial.yaml", mapping), "--out", str(out)]) == 0
+        (row,) = [c for c in json.loads(read(out / "report.json"))["checks"] if c["invariant"] == "reduction-zeroing"]
+        assert row["passed"] and "surviving label(s)" in row["detail"]
+        cfg = config.parse_config(mapping).with_overrides(trials=2000)
+        assert scenarios.simulate_trajectory(cfg, trial=0).event is None
+
+    def test_no_hit_fails_the_zeroing_row(self, tmp_path, capsys):
+        """At fraction 1e-7 none of the 2,000 trials hits: zeroing is not examined, and verify exits 2."""
+        mapping = load_yaml("observation_overlap.yaml")
+        mapping["envelope"]["fraction"] = 1e-7
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--config", write_yaml(tmp_path, "none.yaml", mapping), "--out", str(out)]) == 2
+        failed = [c for c in json.loads(read(out / "report.json"))["checks"] if not c["passed"]]
+        assert [(c["invariant"], c["detail"]) for c in failed] == [
+            ("reduction-zeroing", "no hit in 2000 trials: zeroing not examined")
+        ]
+        assert "verify FAILED: reduction-zeroing" in capsys.readouterr().err
 
     def test_bundled_report_is_pinned(self, tmp_path):
         """verify's report over the bundled configs is a deterministic function of the code."""

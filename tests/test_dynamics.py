@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from pulsecollapse import scenarios
+from pulsecollapse import dynamics, scenarios
 from pulsecollapse.dynamics import (
     DriftKernel,
     EnvelopeSchedule,
@@ -388,7 +388,7 @@ class TestFormationKernel:
         rows, repeats = 0, 0
         while repeats < 20:
             nxt = frozen_advance_formation(oracle, dt)
-            kernel.step()
+            kernel.advance(1)
             rows += 1
             assert not np.any(nxt.weights.imag)
             assert np.array_equal(kernel.weights, nxt.weights.real), rows
@@ -418,7 +418,7 @@ class TestFormationKernel:
         computed = []
         for _ in range(416):
             before = kernel.weights
-            kernel.step()
+            kernel.advance(1)
             computed.append(kernel.weights is not before)
         assert computed == [True] * 350 + [False] * 66
 
@@ -427,7 +427,57 @@ class TestFormationKernel:
         kernel = FormationKernel(staged_seed(120, 2, 0.05, target_sigma=1e9), 0.005)
         with pytest.raises(IndexOutOfRange, match="center_index 120 is not the peak site"):
             for _ in range(400):
-                kernel.step()
+                kernel.advance(1)
+
+    # (site, radius, tau, target sigma): the bundled law, which repeats row 350 from row
+    # 351 on; a slow one at the grid edge, still forming past the first block of 256 rows;
+    # and a target below 2 du, whose 6-sigma window binds before the grown interval
+    ADVANCE_CASES = [(120, 2, 0.05, 0.8), (3, 1, 0.5, 0.8), (120, 5, 0.05, 0.15)]
+
+    @pytest.mark.parametrize("site, radius, tau, target_sigma", ADVANCE_CASES)
+    def test_advance_equals_single_rows_and_the_frozen_law(self, site, radius, tau, target_sigma):
+        """advance(n) gives the stage, norm and occupied count of n advance(1) calls and of
+        the frozen law, row for row and bit for bit, and ends on their last row."""
+        dt, total = 0.005, 420
+        oracle, law = staged_seed(site, radius, tau, target_sigma), []
+        single, rows = FormationKernel(oracle, dt), []
+        for _ in range(total):
+            oracle = frozen_advance_formation(oracle, dt)
+            law.append((oracle.formation_stage, oracle.norm_sq(), np.count_nonzero(oracle.weights), oracle.weights.real))
+            (stage,), (norm,), (occupied,) = single.advance(1)
+            rows.append((stage, norm, occupied, single.weights))
+        for n in (0, 1, 300, total):
+            kernel = FormationKernel(staged_seed(site, radius, tau, target_sigma), dt)
+            stages, norms, occupied = kernel.advance(n)
+            assert len(stages) == len(norms) == len(occupied) == n
+            for i in range(n):
+                assert (stages[i], norms[i], occupied[i]) == rows[i][:3] == law[i][:3], (n, i)
+                assert np.array_equal(rows[i][3], law[i][3]), i
+            if n:
+                assert np.array_equal(kernel.weights, law[n - 1][3])
+                assert (kernel.stage, kernel.norm_sq, kernel.occupied) == law[n - 1][:3]
+
+    def test_advance_in_small_blocks(self, monkeypatch):
+        """Blocks of three rows give the rows of one block."""
+        want = FormationKernel(staged_seed(120, 2, 0.05), 0.005).advance(40)
+        monkeypatch.setattr(dynamics, "FORMATION_BLOCK", 3 * GRID.n_points)
+        got = FormationKernel(staged_seed(120, 2, 0.05), 0.005).advance(40)
+        for a, b in zip(want, got):
+            assert np.array_equal(a, b)
+
+    def test_advance_refuses_a_peak_off_the_centre(self):
+        kernel = FormationKernel(staged_seed(120, 2, 0.05, target_sigma=1e9), 0.005)
+        with pytest.raises(IndexOutOfRange, match="center_index 120 is not the peak site"):
+            kernel.advance(400)
+
+    def test_advance_refuses_a_hole_in_the_interval(self):
+        """A site whose Gaussian value underflows to zero inside the grown interval leaves
+        occupied sites that are no interval."""
+        kernel = FormationKernel(staged_seed(120, 2, 0.05), 0.005)
+        kernel.neg_sq = kernel.neg_sq.copy()
+        kernel.neg_sq[121] = -np.inf
+        with pytest.raises(SimulationError, match=r"not the interval \[118, 122\]: \[118 119 120 122\]"):
+            kernel.advance(5)
 
     def test_support_must_be_an_interval(self):
         weights = np.zeros(GRID.n_points)
@@ -543,7 +593,7 @@ class TestObserverIdentity:
         pulse = self._formed(self.STAGED).terms[0].brain
         kernel = FormationKernel(pulse, self.DT)
         for _ in range(400):
-            kernel.step()
+            kernel.advance(1)
             row = kernel.pulse()
             assert row.observer_id == "alice" and row.forming is self.STAGED
         assert _advance_formation(pulse, self.DT).observer_id == "alice"
@@ -555,7 +605,7 @@ class TestObserverIdentity:
         pulses, _, forming = scenarios._carried_factors(formed, self.DT)
         for _ in range(50):
             for kernel, _ in forming:
-                kernel.step()
+                kernel.advance(1)
         coeffs = [t.coefficient for t in formed.terms]
         state = scenarios._with_values(formed, coeffs, pulses, forming, formed.time + 50 * self.DT)
         brains = [t.brain for t in state.terms]

@@ -471,10 +471,42 @@ class TestBackbone:
 
     @pytest.mark.parametrize("name", BACKBONE_CONFIGS)
     def test_evaluates_the_envelope_once_per_time(self, name, monkeypatch):
-        """One envelope_factors call per backbone time; the coefficients are taken from it."""
+        """One envelope_factors call per backbone time; the coefficients are taken from its
+        factors on arrays, with no per-time coefficients call."""
         calls = count_schedule_calls(monkeypatch)
         bb = build_backbone(bundled_config(name))
-        assert calls == {"envelope_factors": len(bb.times), "coefficients": len(bb.times) - 1}
+        assert calls == {"envelope_factors": len(bb.times), "coefficients": 0}
+
+    # envelope variants of each ramp config: the trig and linear ramps, partial transfers, no tail
+    CLOSED_FORM_VARIANTS = {
+        "trig": {},
+        "linear": {"envelope": {"kind": "linear"}},
+        "trig 0.37 no tail": {"envelope": {"fraction": 0.37}, "scenario": {"tail_steps": 0}},
+        "linear 1e-7": {"envelope": {"kind": "linear", "fraction": 1e-7}},
+    }
+
+    @pytest.mark.parametrize("variant", CLOSED_FORM_VARIANTS)
+    @pytest.mark.parametrize("name", BACKBONE_CONFIGS)
+    def test_arrays_equal_the_per_time_closed_form(self, name, variant):
+        """The backbone's array rows equal the schedule's closed form taken time by time
+        with Python scalars (coefficients, abs and pow, row sums), bit for bit."""
+        bb = build_backbone(config_variant(name, self.CLOSED_FORM_VARIANTS[variant]))
+        terms = bb.state0.terms
+        rows = [[t.coefficient for t in terms]]
+        for t in bb.times[1:].tolist():
+            pred = bb.schedule.predicted_coefficients(t)
+            rows.append([pred.get(n, c) for n, c in enumerate(rows[0])])
+        sq = [[abs(c) ** 2 * term.brain.norm_sq() for c, term in zip(row, terms)] for row in rows]
+        currents = [[(a - b) / bb.dt for a, b in zip(row, before)] for before, row in zip(sq, sq[1:])]
+        want = {
+            "coeffs": np.array(rows, dtype=np.complex128),
+            "sq_terms": np.array(sq),
+            "total_sq": np.array([sum(row) for row in sq]),
+            "currents": np.array(currents),
+            "dst_factor": np.array([bb.schedule.envelope_factors(t)[1] for t in bb.times.tolist()]),
+        }
+        for key, value in want.items():
+            assert getattr(bb, key).tobytes() == value.tobytes(), key
 
     def test_short_ramp_backbone_reaches_t_end(self):
         """With no tail, a ramp of 200.24 steps rounded to 200 takes one more step to reach
@@ -824,6 +856,20 @@ class TestTrajectory:
                 assert np.array_equal(getattr(out.log, key), want), (c.seed, trial, key)
             assert out.event == event, (c.seed, trial)
             assert out.extras == extras, (c.seed, trial)
+
+    @pytest.mark.parametrize("name", ["turn_off_overlap.yaml", "disengage.yaml"])
+    def test_forming_through_the_event_equals_stepped_reference(self, name):
+        """A staged pulse still forming when the turn-off or disengage event applies: the
+        segments on either side of the event row give the stepped trajectory's rows, event
+        and extras (occupied counts, stages, norm error) bit for bit."""
+        cfg = config_variant(name, {"formation": {"mode": "staged", "tau": 0.5}})
+        for trial in range(3):
+            out = simulate_trajectory(cfg, trial=trial)
+            log, event, extras = stepped_trajectory(cfg, trial)
+            for key, want in log.items():
+                assert np.array_equal(getattr(out.log, key), want), (trial, key)
+            assert out.event == event and out.extras == extras, trial
+            assert out.extras["formation_stages"][-1] < 0.99  # formation outlasts the event
 
     @pytest.mark.parametrize("name", TRAJECTORY_CONFIGS)
     def test_never_calls_step(self, name, monkeypatch):
