@@ -208,7 +208,8 @@ class EnvelopeSchedule:
         return self.coefficients(*self.envelope_factors(t))
 
     def coefficients(self, src_f: float, dst_f: float) -> Dict[int, complex]:
-        """Scheduled terms' coefficients at the given ``envelope_factors``."""
+        """Scheduled terms' coefficients at the given ``envelope_factors``: scalars, or
+        arrays of factors for whole columns of times."""
         out: Dict[int, complex] = {}
         for tr, a0 in zip(self.transfers, self.source_amplitudes):
             out[tr.src] = a0 * src_f

@@ -472,10 +472,10 @@ class TestBackbone:
     @pytest.mark.parametrize("name", BACKBONE_CONFIGS)
     def test_evaluates_the_envelope_once_per_time(self, name, monkeypatch):
         """One envelope_factors call per backbone time; the coefficients are taken from its
-        factors on arrays, with no per-time coefficients call."""
+        factors on arrays, with one coefficients call for all the times."""
         calls = count_schedule_calls(monkeypatch)
         bb = build_backbone(bundled_config(name))
-        assert calls == {"envelope_factors": len(bb.times), "coefficients": 0}
+        assert calls == {"envelope_factors": len(bb.times), "coefficients": 1}
 
     # envelope variants of each ramp config: the trig and linear ramps, partial transfers, no tail
     CLOSED_FORM_VARIANTS = {
