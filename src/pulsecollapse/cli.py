@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: ``run`` (one trajectory, full artifact set), ``montecarlo``
-(batch trials with closed-form comparisons), ``verify`` (invariant suite
-over bundled or given configs).
+(batch trials judged by the gates the scenario's ``SCENARIOS`` entry
+declares), ``verify`` (invariant suite over bundled or given configs, with
+the rows each scenario's entry returns). No scenario is named here, and no
+summary key is read here.
 
 The value flags can also come from an environment variable with the
 ``PULSECOLLAPSE_`` prefix (PULSECOLLAPSE_CONFIG, PULSECOLLAPSE_SEED,
@@ -256,27 +258,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _montecarlo_passes(summary: Dict) -> List[str]:
-    """Names of failed comparisons in a batch summary."""
-    failures = []
-    if summary.get("probability_pass") is False:
-        failures.append(
-            f"probability z={summary.get('z_score', float('nan')):.3f} "
-            f"(closed form {summary.get('closed_form_p_hit', summary.get('closed_form_p2'))})"
-        )
-    p = summary.get("chi2_p_value")
-    if p is not None and not p > 0.01:
-        failures.append(f"site histogram chi2 p={p:.5f} <= 0.01")
-    if summary.get("final_identity_pass") is False:
-        failures.append(
-            f"final identity {summary['final_identity_estimate']:.6f} vs "
-            f"{summary['final_identity_target']:.6f}"
-        )
-    if summary.get("all_trials_reduced") is False:
-        failures.append("incomplete reduction on a completed transfer")
-    return failures
-
-
 def cmd_montecarlo(args) -> int:
     cfg = _resolve_config(args)
     _resolve_out(args)
@@ -294,7 +275,7 @@ def cmd_montecarlo(args) -> int:
         result = run_scenario(cfg)
     except (TooFewTrials, TooFewEvents) as exc:
         raise ConfigError(f"scenario.trials = {cfg.trials} gives too few hits for the statistics: {exc}")
-    failures = _montecarlo_passes(result.summary)
+    failures = SCENARIOS[cfg.name].failed_gates(result.summary)
     report = {
         "scenario": cfg.name,
         "seed": cfg.seed,

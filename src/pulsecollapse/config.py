@@ -3,9 +3,10 @@
 Config files are nested key-value YAML. One table states every key a
 scenario takes, with its type and its default or the ``REQUIRED`` marker:
 a key without a default is required, and so is a section that holds one.
-Validation is strict in both directions: a missing required key and an
-unknown key are both errors, and the offending key is named in the
-message (unknown keys are likelier typos than extensions).
+A scenario's ``debug`` section holds only the negative-control switches
+its runner reads. Validation is strict in both directions: a missing
+required key and an unknown key are both errors, and the offending key is
+named in the message (unknown keys are likelier typos than extensions).
 """
 
 from __future__ import annotations
@@ -34,11 +35,6 @@ _BASE_SCHEMA: Schema = {
         "trials": (int, 100_000), "tail_steps": (int, 20),
     },
     "grid": {"n_points": (int, REQUIRED), "spacing": (float, REQUIRED), "origin": (float, 0.0)},
-    "debug": {
-        "bias_site_selection": (bool, False),
-        "tamper_phantom": (bool, False),
-        "intra_ready_transfer": (bool, False),
-    },
 }
 
 _ENVELOPE = {
@@ -48,6 +44,9 @@ _FORMATION = {
     "mode": (str, REQUIRED), "target_sigma": (float, REQUIRED),
     "tau": (float, 0.01), "neighbor_radius": (int, 1), "settle_steps": (int, 150),
 }
+# the negative-control switches: each scenario takes only those its runner reads, so one it
+# would ignore is an unknown key
+_BIAS = {"bias_site_selection": (bool, False)}
 
 _ONE_SOURCE: Schema = {
     "envelope": _ENVELOPE,
@@ -57,6 +56,7 @@ _ONE_SOURCE: Schema = {
         "ready_center": (float, REQUIRED), "ready_sigma": (float, REQUIRED),
     },
     "formation": _FORMATION,
+    "debug": _BIAS,
 }
 _TWO_SOURCES: Schema = {
     "envelope": _ENVELOPE,
@@ -67,6 +67,7 @@ _TWO_SOURCES: Schema = {
     },
     "variant": {"arrangement": (str, "overlap")},
     "formation": _FORMATION,
+    "debug": _BIAS,
 }
 
 # the sections each scenario takes after the base ones, in the order a missing one is reported
@@ -78,6 +79,7 @@ _SCENARIO_SCHEMAS: Dict[str, Schema] = {
     "pulse_drift": {
         "pulses": {"center": (float, REQUIRED), "sigma": (float, REQUIRED)},
         "drift": {"velocity": (float, REQUIRED), "shed_rate": (float, 0.02), "duration": (float, REQUIRED)},
+        "debug": {"tamper_phantom": (bool, False), "intra_ready_transfer": (bool, False)},
     },
     "fade_in": _ONE_SOURCE,
 }

@@ -660,12 +660,12 @@ def drift_pulse(
     current for a full step is flagged phantom and frozen.
 
     One ``DriftKernel`` step on the state's arrays. velocity = 0 returns the
-    state unchanged.
+    state's terms unchanged at ``time + dt``.
     """
     if not dt > 0:
         raise SimulationError(f"dt must be positive, got {dt}")
     if velocity == 0.0:
-        return state
+        return state.with_terms(state.terms, time=state.time + dt)
 
     cons_idx = [
         n

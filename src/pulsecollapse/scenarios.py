@@ -158,10 +158,9 @@ class TrajectoryLog:
 
 @dataclass
 class ScenarioResult:
-    """What a runner hands back: config echo, events, summary, logs."""
+    """What a runner hands back: its summary (what ``montecarlo``'s gates read, or
+    ``run`` writes), and the events and log of a trajectory runner."""
 
-    name: str
-    config: ScenarioConfig
     summary: Dict
     events: List[ReductionEvent] = field(default_factory=list)
     trajectory: Optional[TrajectoryLog] = None
@@ -548,9 +547,9 @@ def site_cdfs(
     computes its per-site currents. ``biased`` squares the weights first:
     the site-selection negative control.
     """
-    # |c|^2 through libm pow and |w|^2 through numpy's array square, as
-    # dynamics._site_masses takes them, so the tables equal step's currents bit for bit
-    csq = np.array([a**2 for a in np.abs(coeffs).ravel().tolist()]).reshape(coeffs.shape)
+    # |c|^2 as float_power(abs(c), 2.0), libm pow as in build_backbone, and |w|^2 through numpy's
+    # array square, as dynamics._site_masses takes them, so the tables equal step's currents bit for bit
+    csq = np.float_power(np.abs(coeffs), 2.0)
     mass = csq[:, :, None] * ready_amps**2
     weights = np.diff(mass, axis=0).reshape(len(mass) - 1, -1)
     del mass
@@ -803,13 +802,8 @@ def simulate_trajectory(
     state = bb.state0  # the terms whose labels, factors and phantom flags the carried values belong to
     coeffs = bb.coeffs[head - 1].tolist()
     event: Optional[ReductionEvent] = None
-    extras: Dict = {
-        "occupied_counts": [],
-        "formation_stages": [],
-        "formation_norm_err": 0.0,
-        "turned_off": False,
-        "disengaged": False,
-    }
+    extras: Dict = {"occupied_counts": [], "formation_stages": [], "formation_norm_err": 0.0,
+                    "turned_off": False, "disengaged": False}
 
     if k < len(bb.step_mass):
         u2 = rng.uniform()
@@ -989,33 +983,18 @@ def _disengage(state: SystemState, event: ReductionEvent, rng: RngStream, extras
 
 
 def _zero_label(state: SystemState, label: int) -> SystemState:
-    terms = [
-        Term(t.apparatus_label, 0j, t.brain, t.phantom)
-        if t.apparatus_label == label
-        else t
-        for t in state.terms
-    ]
-    return state.with_terms(terms)
+    return state.with_terms([Term(t.apparatus_label, 0j, t.brain, t.phantom) if t.apparatus_label == label else t
+                             for t in state.terms])
 
 
 def _swap_disengaged(state: SystemState) -> SystemState:
     """Replace the shared conscious pulse factor with a disengaged one."""
-    terms = []
-    for t in state.terms:
-        if (
-            t.coefficient != 0
-            and isinstance(t.brain, Pulse)
-            and t.brain.kind is PulseKind.CONSCIOUS
-        ):
-            x = DisengagedX(
-                grid=t.brain.grid,
-                weights=t.brain.weights,
-                observer_id=t.brain.observer_id,
-            )
-            terms.append(Term(t.apparatus_label, t.coefficient, x, t.phantom))
-        else:
-            terms.append(t)
-    return state.with_terms(terms)
+    return state.with_terms([
+        Term(t.apparatus_label, t.coefficient,
+             DisengagedX(grid=t.brain.grid, weights=t.brain.weights, observer_id=t.brain.observer_id), t.phantom)
+        if t.coefficient != 0 and isinstance(t.brain, Pulse) and t.brain.kind is PulseKind.CONSCIOUS else t
+        for t in state.terms
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -1054,7 +1033,7 @@ def run_interaction(cfg: ScenarioConfig) -> ScenarioResult:
         "events_digest": batch.events_digest,
         **bb.audits,
     }
-    return ScenarioResult(name=cfg.name, config=cfg, summary=summary)
+    return ScenarioResult(summary)
 
 
 def run_unresolvable_observation(cfg: ScenarioConfig) -> ScenarioResult:
@@ -1093,7 +1072,7 @@ def run_unresolvable_observation(cfg: ScenarioConfig) -> ScenarioResult:
         "events_digest": batch.events_digest,
         **bb.audits,
     }
-    return ScenarioResult(name=cfg.name, config=cfg, summary=summary)
+    return ScenarioResult(summary)
 
 
 def run_turn_off(cfg: ScenarioConfig) -> ScenarioResult:
@@ -1126,7 +1105,7 @@ def run_turn_off(cfg: ScenarioConfig) -> ScenarioResult:
         "events_digest": batch.events_digest,
         **bb.audits,
     }
-    return ScenarioResult(name=cfg.name, config=cfg, summary=summary)
+    return ScenarioResult(summary)
 
 
 def run_disengage(cfg: ScenarioConfig) -> ScenarioResult:
@@ -1138,10 +1117,7 @@ def run_disengage(cfg: ScenarioConfig) -> ScenarioResult:
     """
     out = simulate_trajectory(cfg, trial=0)
     post = out.log
-    t_dis = cfg.data["disengage"]["t_dis"]
-    after = post.times >= t_dis
-    currents_after = post.currents[after]
-    sq_after = post.sq_terms[after]
+    currents_after, sq_after = _after_dis(post, cfg.data["disengage"]["t_dis"])
     constant = bool(np.all(sq_after == sq_after[0])) if len(sq_after) else True
     labels = {}
     if out.event is not None:
@@ -1160,13 +1136,14 @@ def run_disengage(cfg: ScenarioConfig) -> ScenarioResult:
             isinstance(t.brain, DisengagedX) for t in out.state.terms if t.coefficient != 0
         ),
     }
-    return ScenarioResult(
-        name=cfg.name,
-        config=cfg,
-        summary=summary,
-        events=[out.event] if out.event else [],
-        trajectory=post,
-    )
+    return ScenarioResult(summary, [out.event] if out.event else [], post)
+
+
+def _after_dis(log: TrajectoryLog, t_dis: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The currents of the rows past the event row (the first at or past t_dis, which keeps
+    the currents taken before the swap), and the square moduli from the event row on."""
+    after = np.flatnonzero(log.times >= t_dis)
+    return log.currents[after[1:]], log.sq_terms[after]
 
 
 def _ready_transfer_injection(state: SystemState):
@@ -1217,14 +1194,8 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
     kernel = DriftKernel.of(state.grid, velocity, dt, dr["shed_rate"] if shedding else 0.0)
     cons, shadow = state.terms
     n_points = state.grid.n_points
-    arrays = kernel.start(
-        cons.brain.weights,
-        cons.coefficient,
-        shadow.brain.weights,
-        shadow.coefficient,
-        np.zeros(n_points, dtype=bool),
-        np.zeros(n_points, dtype=bool),
-    )
+    none = np.zeros(n_points, dtype=bool)
+    arrays = kernel.start(cons.brain.weights, cons.coefficient, shadow.brain.weights, shadow.coefficient, none, none)
 
     if cfg.data["debug"]["intra_ready_transfer"]:
         pairs = rule4_pairs(*_ready_transfer_injection(state))
@@ -1248,7 +1219,7 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
     for i in range(n_steps):
         if velocity != 0.0:
             arrays = kernel.step(arrays)
-            t = t + dt
+        t = t + dt
         if arrays.has_phantom:
             if i == tamper_step:
                 w = _tamper_phantom(arrays.shadow_w, arrays.phantom)
@@ -1309,7 +1280,7 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
         budget=np.zeros(len(times)),
         labels=tuple(term.apparatus_label for term in state.terms),
     )
-    return ScenarioResult(name=cfg.name, config=cfg, summary=summary, trajectory=log)
+    return ScenarioResult(summary, trajectory=log)
 
 
 def run_fade_in(cfg: ScenarioConfig) -> ScenarioResult:
@@ -1349,13 +1320,7 @@ def run_fade_in(cfg: ScenarioConfig) -> ScenarioResult:
         / cfg.data["formation"]["target_sigma"],
         "max_formation_norm_err": out.extras["formation_norm_err"],
     }
-    return ScenarioResult(
-        name=cfg.name,
-        config=cfg,
-        summary=summary,
-        events=[out.event] if out.event else [],
-        trajectory=out.log,
-    )
+    return ScenarioResult(summary, [out.event] if out.event else [], out.log)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
@@ -1425,9 +1390,16 @@ def _drift_checks(cfg: ScenarioConfig) -> List[Check]:
 
 
 def _disengage_checks(cfg: ScenarioConfig) -> List[Check]:
-    s = run_scenario(cfg).summary
-    frozen = s["swap_identical"] and s["currents_zero_after_dis"] and s["square_moduli_constant_after_dis"]
-    return [("coefficient-freeze", frozen, "disengage left coefficients bit-identical and currents zero")]
+    """The freeze after t_dis; a failure names each of its conditions that failed."""
+    result = run_scenario(cfg)
+    conditions = ("swap_identical", "currents_zero_after_dis", "square_moduli_constant_after_dis")
+    failed = [key for key in conditions if not result.summary[key]]
+    if not failed:
+        return [("coefficient-freeze", True, "disengage left coefficients bit-identical and currents zero")]
+    currents = _after_dis(result.trajectory, cfg.data["disengage"]["t_dis"])[0].ravel()
+    largest = currents[np.argmax(np.abs(currents))] if currents.size else 0.0
+    return [("coefficient-freeze", False, f"disengage failed {', '.join(failed)}; largest current after the "
+             f"event row {largest:.3e}")]
 
 
 def _formation_checks(cfg: ScenarioConfig) -> List[Check]:
@@ -1441,24 +1413,39 @@ def _formation_checks(cfg: ScenarioConfig) -> List[Check]:
 
 
 @dataclass(frozen=True)
+class Gate:
+    """A ``montecarlo`` gate on the batch summary's ``key``: it fails when the value is
+    False or, with a ``bound``, when the value is not above it. ``line``, formatted
+    with the summary, is its failure text."""
+
+    key: str
+    line: str
+    bound: Optional[float] = None
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """One measurement story: how it starts, runs and ends, and what ``verify`` checks.
+    """One measurement story: how it starts, runs and ends, and what ``verify`` and
+    ``montecarlo`` check.
 
     ``build`` makes the initial state and schedule; ``runner`` is what
     ``run_scenario`` calls; ``ready_terms`` counts the ready terms the ramp
-    feeds (0: no backbone); ``batch`` says whether ``montecarlo`` takes it.
-    A trajectory runs past its backbone up to the config time ``until``
-    (a dotted key) in whole steps, then ``hold`` more steps (a count or
-    the dotted key of one). ``event(state, hit, rng, extras)`` applies
-    once after a hit, at the first row at or past ``until``. ``checks``
-    returns ``verify``'s (invariant, passed, detail) rows.
+    feeds (0: no backbone); ``gates`` are the ``montecarlo`` gates on the
+    runner's summary, in the order their failures are reported, and a
+    scenario with gates is a batch scenario (``batch``), which ``montecarlo``
+    takes. A trajectory runs past its backbone up to the config time
+    ``until`` (a dotted key) in whole steps, then ``hold`` more steps (a
+    count or the dotted key of one). ``event(state, hit, rng, extras)``
+    applies once after a hit, at the first row at or past ``until``.
+    ``checks`` returns ``verify``'s (invariant, passed, detail) rows. The
+    ``debug`` switches a scenario takes are in its config schema.
     """
 
     build: Callable[[ScenarioConfig], Tuple[SystemState, Optional[EnvelopeSchedule]]]
     runner: Callable[[ScenarioConfig], ScenarioResult]
     checks: Callable[[ScenarioConfig], List[Check]]
     ready_terms: int = 0
-    batch: bool = False
+    gates: Tuple[Gate, ...] = ()
     until: Optional[str] = None
     hold: Union[int, str] = 0
     event: Optional[Callable[[SystemState, ReductionEvent, RngStream, Dict], SystemState]] = None
@@ -1471,15 +1458,40 @@ class Scenario:
         _check_steps(len(_backbone_times(cfg)) - 1 + past + hold, keys)
         return int(round(past)) + hold
 
+    @property
+    def batch(self) -> bool:
+        return bool(self.gates)
+
+    def failed_gates(self, summary: Dict) -> List[str]:
+        """The failure line of each gate the summary fails. A key a gate reads that the
+        summary lacks breaches "montecarlo-gate": read as absent, it would pass unseen."""
+        failed = []
+        for gate in self.gates:
+            try:
+                value = summary[gate.key]
+                if (value is False) if gate.bound is None else not value > gate.bound:
+                    failed.append(gate.line.format_map(summary))
+            except KeyError as exc:
+                raise InvariantBreach("montecarlo-gate", f"gate {gate.key} reads {exc}, which the summary lacks")
+        return failed
+
+
+# the montecarlo gates; a line's fields are summary keys
+_P_HIT = Gate("probability_pass", "probability z={z_score:.3f} (closed form {closed_form_p_hit})")
+_P2 = Gate("probability_pass", "probability z={z_score:.3f} (closed form {closed_form_p2})")
+_CHI2 = Gate("chi2_p_value", "site histogram chi2 p={chi2_p_value:.5f} <= 0.01", bound=0.01)
+_IDENTITY = Gate("final_identity_pass", "final identity {final_identity_estimate:.6f} vs {final_identity_target:.6f}")
+_REDUCED = Gate("all_trials_reduced", "incomplete reduction on a completed transfer")
+
 
 # in SCENARIO_NAMES order; no reference to run_batch or simulate_trajectory: a wrapper on the module sees all calls
 SCENARIOS: Dict[str, Scenario] = {
-    "interaction": Scenario(_one_source, run_interaction, _batch_checks, ready_terms=1, batch=True),
+    "interaction": Scenario(_one_source, run_interaction, _batch_checks, ready_terms=1, gates=(_P_HIT, _CHI2)),
     "unresolvable_observation": Scenario(
-        _two_sources, run_unresolvable_observation, _batch_checks, ready_terms=2, batch=True
+        _two_sources, run_unresolvable_observation, _batch_checks, ready_terms=2, gates=(_CHI2, _IDENTITY, _REDUCED)
     ),
     "turn_off": Scenario(
-        _two_sources, run_turn_off, _batch_checks, ready_terms=2, batch=True,
+        _two_sources, run_turn_off, _batch_checks, ready_terms=2, gates=(_P2, _REDUCED),
         until="turn_off.t_off", hold=10, event=_turn_off,
     ),
     "disengage": Scenario(

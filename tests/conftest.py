@@ -1,12 +1,15 @@
 """Shared fixtures: bundled configs and the expensive batch runs.
 
 The 10^5-trial batches are session scoped so the acceptance criteria and
-any statistics tests share one run per config.
+any statistics tests share one run per config. The Hypothesis profile is
+derandomized, so each property test draws the same examples on every run;
+each test keeps its own ``max_examples`` and deadline.
 """
 
 from importlib import resources
 
 import pytest
+from hypothesis import settings
 
 from pulsecollapse import load_config
 from pulsecollapse.scenarios import (
@@ -14,6 +17,9 @@ from pulsecollapse.scenarios import (
     run_turn_off,
     run_unresolvable_observation,
 )
+
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 def bundled_config(name):

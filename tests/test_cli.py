@@ -66,11 +66,49 @@ GOLDEN_VARIANT_RUNS = {
     "disengage.yaml staged@1": "896d3ca2dae87175a8154d350308f307c64021fd8c53f64581c136eab4df5664",
     "disengage.yaml staged@2": "0568814d1db5915949f8c283b505eb3a5795b244b6f1581f7cbd8fab271c6286",
     "disengage.yaml staged@3": "c9d746acf4e7d79efe902ef2a9458c3add14e350583c7bb30ad673b800b795bb",
-    "disengage.yaml staged tau 0.5": "175d8b29761746a11a0ab21aa7bafb50a28d2dbebd329c934a3165720fc3f1d8",
+    "disengage.yaml staged tau 0.5": "4c6b9c15235941908d55f263546fa6333a68d4262220ba0346d07bd35e76e555",
     # no hit at the config's own seed, a hit at seed 9
     "interaction.yaml linear 0.37 no tail": "1e62ff611cdf834dff77d1f35fc0aa9827a5dd6f508e5fbc7ea0eac3660a23c5",
     "interaction.yaml linear 0.37 no tail@9": "74458b42d89ac310ee2e1aa7dfb42f84c8fd11748c5909914bc9c2708293459d",
 }
+
+# the failure lines of every run of a batch config, seeds 1-200 at --trials 1000, whose gates
+# fail (exit 3): the calibrated gates' nominal alarms, keyed "config@seed"
+GATE_ALARMS = {
+    "interaction.yaml@122": ["site histogram chi2 p=0.00302 <= 0.01"],
+    "interaction_halted.yaml@1": ["site histogram chi2 p=0.00683 <= 0.01"],
+    "interaction_halted.yaml@53": ["probability z=3.174 (closed form 0.29999999999999993)"],
+    "interaction_halted.yaml@135": ["site histogram chi2 p=0.00474 <= 0.01"],
+    "observation_disjoint.yaml@79": ["site histogram chi2 p=0.00980 <= 0.01"],
+    "observation_disjoint.yaml@95": ["site histogram chi2 p=0.00140 <= 0.01"],
+    "observation_disjoint.yaml@122": ["site histogram chi2 p=0.00811 <= 0.01"],
+    "observation_overlap.yaml@77": ["final identity 0.985817 vs 1.000000"],
+    "observation_overlap.yaml@95": ["site histogram chi2 p=0.00766 <= 0.01"],
+    "observation_overlap.yaml@113": ["site histogram chi2 p=0.00471 <= 0.01"],
+    "observation_overlap.yaml@122": ["site histogram chi2 p=0.00650 <= 0.01"],
+    "observation_overlap.yaml@154": ["final identity 0.987132 vs 1.000000"],
+    "observation_single.yaml@109": ["site histogram chi2 p=0.00244 <= 0.01"],
+    "turn_off_overlap.yaml@151": ["probability z=3.415 (closed form 0.5)"],
+}
+
+# the debug switches, and what names each one's detector on stderr when it trips
+CONTROLS = {
+    "bias_site_selection": "chi2", "tamper_phantom": "phantom-freeze", "intra_ready_transfer": "Rule4Violation",
+}
+# exit codes of run, montecarlo (None: no batch) and verify --config with a switch set on a
+# scenario whose schema takes it; bias_site_selection trips only the site-histogram and
+# final-identity gates, which run, verify and the turn-off gates lack (ROADMAP item 9)
+CONTROL_EXITS = {
+    ("bias_site_selection", "interaction"): (0, 3, 0),
+    ("bias_site_selection", "unresolvable_observation"): (0, 3, 0),
+    ("bias_site_selection", "turn_off"): (0, 0, 0),
+    ("bias_site_selection", "disengage"): (0, None, 0),
+    ("bias_site_selection", "fade_in"): (0, None, 0),
+    ("tamper_phantom", "pulse_drift"): (2, None, 2),
+    ("intra_ready_transfer", "pulse_drift"): (2, None, 2),
+}
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 # sha256 of report.json from `verify` over the bundled configs
 GOLDEN_VERIFY_REPORT = "4fb67c799fe04db652a229ca8abcf44e36e5610da4e120af06d81b087324795c"
@@ -650,6 +688,35 @@ def test_any_single_bad_value_ends_in_an_exit_code(case):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_control_table_is_the_schema_table():
+    """CONTROL_EXITS holds an outcome for exactly the switches the schema table gives each scenario."""
+    declared = {(key, name) for name, schema in config._SCENARIO_SCHEMAS.items() for key in schema.get("debug", {})}
+    assert set(CONTROL_EXITS) == declared
+
+
+@pytest.mark.parametrize("switch", CONTROLS)
+@pytest.mark.parametrize("name", cli.BUNDLED_CONFIGS)
+def test_control_matrix(name, switch, tmp_path, capsys):
+    """A switch the scenario's schema takes keeps its pinned outcome, its detector named on a
+    failure; one it does not take exits 1 naming it in every command, instead of being ignored."""
+    mapping = load_yaml(name)
+    scenario = mapping["scenario"]["name"]
+    mapping["debug"] = {switch: True}
+    path = write_yaml(tmp_path, "control.yaml", mapping)
+    commands = ["run", "montecarlo", "verify"] if scenarios.SCENARIOS[scenario].batch else ["run", "verify"]
+    outcomes = {}  # command -> (exit code, stderr)
+    for n, command in enumerate(commands):
+        outcomes[command] = (cli.main([command, "--config", path, "--out", str(tmp_path / f"o{n}")]),
+                             capsys.readouterr().err)
+    if switch not in config._SCENARIO_SCHEMAS[scenario].get("debug", {}):
+        assert set(outcomes.values()) == {(1, f"config error: unknown config key debug.{switch}\n")}
+        return
+    codes = {command: code for command, (code, _) in outcomes.items()}
+    assert (codes["run"], codes.get("montecarlo"), codes["verify"]) == CONTROL_EXITS[(switch, scenario)]
+    for code, err in outcomes.values():
+        assert (code != 0) == (CONTROLS[switch] in err)
+
+
 class TestNeverSteps:
     """No subcommand calls ``dynamics.step``: the backbone, the trajectory rows and the
     drift are computed without it."""
@@ -714,6 +781,49 @@ class TestMontecarlo:
         err = capsys.readouterr().err
         assert err.startswith("FAIL site histogram chi2 p=") and "\nFAIL final identity " in err
         assert err.count("FAIL") == 2
+
+    @pytest.mark.parametrize("run", GATE_ALARMS)
+    def test_gate_failure_lines_are_pinned(self, run, tmp_path, capsys):
+        """Each declared gate's failure line, formatted from the summary, as the runs that trip them print it."""
+        name, _, seed = run.partition("@")
+        out = tmp_path / "mc"
+        argv = ["montecarlo", "--config", cfg_path(name), "--trials", "1000", "--seed", seed, "--out", str(out)]
+        assert cli.main(argv) == 3
+        assert json.loads(read(out / "report.json"))["failures"] == GATE_ALARMS[run]
+        assert capsys.readouterr().err == "".join(f"FAIL {line}\n" for line in GATE_ALARMS[run])
+
+    @pytest.mark.parametrize("run, dropped, gate", [
+        ("interaction.yaml@122", "chi2_p_value", "chi2_p_value"),
+        ("interaction_halted.yaml@53", "z_score", "probability_pass"),
+    ])
+    def test_gate_key_missing_from_the_summary_exits_2(self, run, dropped, gate, tmp_path, capsys, monkeypatch):
+        """A runner whose summary lacks a key a failing gate reads breaches montecarlo-gate, naming
+        the gate and the key; read with .get, the chi-square gate passed unseen and the run exited 0."""
+        name, _, seed = run.partition("@")
+        scenario = load_yaml(name)["scenario"]["name"]
+        entry = scenarios.SCENARIOS[scenario]
+
+        def dropping(cfg):
+            result = entry.runner(cfg)
+            del result.summary[dropped]
+            return result
+
+        monkeypatch.setitem(scenarios.SCENARIOS, scenario, dataclasses.replace(entry, runner=dropping))
+        argv = ["montecarlo", "--config", cfg_path(name), "--trials", "1000", "--seed", seed, "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"invariant breached: montecarlo-gate (gate {gate} reads '{dropped}', which the summary lacks)\n"
+        )
+
+    def test_readme_lists_each_batch_scenario_gates(self):
+        """The README's gate list is the table's: every batch scenario, each gate's key and bound."""
+        lines = [
+            f"  - `{name}`: "
+            + ", ".join(f"`{g.key}`" + (f" > {g.bound}" if g.bound is not None else "") for g in sc.gates)
+            for name, sc in scenarios.SCENARIOS.items() if sc.batch
+        ]
+        with open(README, encoding="utf-8") as fh:
+            assert "\n".join(lines) + "\n" in fh.read()
 
     def test_unsupported_scenario_rejected(self, tmp_path, capsys):
         code = cli.main(
@@ -808,6 +918,31 @@ class TestVerify:
             ("reduction-zeroing", "no hit in 2000 trials: zeroing not examined")
         ]
         assert "verify FAILED: reduction-zeroing" in capsys.readouterr().err
+
+    def test_staged_disengage_still_forming_passes(self, tmp_path):
+        """At tau 0.5 the pulse still forms at t_dis: the event row keeps the currents taken before
+        the swap (about -7e-16), which are no current after it, so coefficient-freeze passes (it exited 2)."""
+        mapping = load_yaml("disengage.yaml")
+        mapping["formation"].update(mode="staged", tau=0.5)
+        path = write_yaml(tmp_path, "staged.yaml", mapping)
+        assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "v")]) == 0
+
+    def test_coefficient_freeze_failure_names_its_conditions(self, tmp_path, monkeypatch):
+        """A failed freeze names each failed condition and the largest current past the event row."""
+        entry = scenarios.SCENARIOS["disengage"]
+
+        def moving(cfg):
+            result = entry.runner(cfg)
+            result.trajectory.currents[-1, 2] = -7e-16
+            result.summary.update(swap_identical=False, currents_zero_after_dis=False)
+            return result
+
+        monkeypatch.setitem(scenarios.SCENARIOS, "disengage", dataclasses.replace(entry, runner=moving))
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--config", cfg_path("disengage.yaml"), "--out", str(out)]) == 2
+        assert [c["detail"] for c in json.loads(read(out / "report.json"))["checks"]] == [
+            "disengage failed swap_identical, currents_zero_after_dis; largest current after the event row -7.000e-16"
+        ]
 
     def test_bundled_report_is_pinned(self, tmp_path):
         """verify's report over the bundled configs is a deterministic function of the code."""

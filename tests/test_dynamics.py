@@ -507,9 +507,11 @@ class TestDrift:
         )
 
     def test_zero_velocity_is_identity(self):
+        """A still pulse keeps its terms, and its time advances by dt."""
         state = self._drift_state()
         out = drift_pulse(state, velocity=0.0, dt=0.01)
-        assert out is state
+        assert out.terms == state.terms
+        assert out.time == state.time + 0.01
 
     def test_drift_moves_center(self):
         state = self._drift_state()

@@ -92,7 +92,7 @@ GOLDEN_DIGESTS = {
 # bytes of the log's times, sq_terms, currents and total_sq
 DRIFT_VARIANTS = {
     "bundled": ({}, "f7660be638f018c90950f68433c07408e061f3c75b780df1677d5266743c149f"),
-    "still": ({"velocity": 0.0}, "3b0353f8cd9e50e626c1831a30ba07dd5bc95d7e40ecf7bbf9f540e488e71c64"),
+    "still": ({"velocity": 0.0}, "198cdd8d31823857436ee3282359ca8c0f1e3d3c6fc1cf75ef776b48d6516175"),
     "backwards": ({"velocity": -0.3}, "fdf3466b8430804a7bc615242ad5d17fd7df9c73d5e19bc63521db4a90687731"),
     "no_shedding": ({"shed_rate": 0.0}, "cc0ebc5517ca1fbec53b202fee5ad1d42166c1eeccd27248278b462d76b9f064"),
     "fast_short": ({"velocity": 2.0, "duration": 3.0},
