@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
@@ -286,14 +287,28 @@ def _check_values(name: str, data: Dict[str, Dict[str, Any]]) -> None:
             )
 
 
+# a YAML 1.2 float; PyYAML resolves YAML 1.1, whose floats need a dot and a signed exponent,
+# so it would read 1e-9 as a string
+_YAML12_FLOAT = re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$")
+
+
+def _loader(base: type) -> type:
+    """``base`` with YAML 1.2 floats resolved as floats. Its resolver is tried after the
+    YAML 1.1 ones, so an integer stays an integer."""
+    loader = type("ConfigLoader", (base,), {})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", _YAML12_FLOAT, list("-+.0123456789"))
+    return loader
+
+
 def load_config(path: str) -> ScenarioConfig:
     """Parse and validate a YAML config file.
 
     Parsing uses libyaml (``yaml.CSafeLoader``) where PyYAML was built with
     it, and the pure-Python ``yaml.SafeLoader`` otherwise; both share the
-    safe constructor and resolver, so they give the same mapping.
+    safe constructor and resolver, so they give the same mapping. Either
+    also reads a YAML 1.2 float such as ``1e-9`` as a float.
     """
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    loader = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             mapping = yaml.load(fh, Loader=loader)

@@ -11,10 +11,11 @@ widens a forming pulse over an occupied interval any number of rows at a
 time, in 2-D blocks of rows, and stops computing once a row repeats;
 ``_advance_formation`` is one kernel row on a pulse, and a trajectory past
 its hit advances the kernel a segment at a time.
-``DriftKernel`` moves the conscious pulse and feeds the shadow, carrying
-``DriftArrays`` from step to step; ``drift_pulse`` is one kernel step on a
-state, and ``drifted_state`` rebuilds a state from the kernel's arrays
-through the validating constructors.
+``DriftKernel`` moves the conscious pulse and feeds the shadow on real
+arrays, a block of rows per ``advance``: the conscious rows first, then the
+shadow's; ``drift_pulse`` is one kernel row on a state, and the kernel's
+``state`` rebuilds a state from its current row through the validating
+constructors.
 
 Currents are finite differences of square moduli over the step, so the
 per-term entries always telescope to the envelope's total transfer and the
@@ -65,10 +66,9 @@ __all__ = [
     "step",
     "form_pulse",
     "FormationKernel",
-    "DriftArrays",
+    "DriftRows",
     "DriftKernel",
     "drift_pulse",
-    "drifted_state",
     "relative_intensity",
 ]
 
@@ -82,6 +82,8 @@ MIN_RAMP_STEPS = 100
 
 # elements of one block of formation rows: FormationKernel.advance's memory is bounded at any grid size
 FORMATION_BLOCK = 1 << 16
+# values of one block of drift rows, for DriftKernel.advance's callers: 2**16 raised verify's peak RSS
+DRIFT_BLOCK = 1 << 14
 
 
 class RampKind(enum.Enum):
@@ -516,100 +518,174 @@ def form_pulse(state: SystemState, chosen: int, policy: FormationPolicy) -> Syst
     return state.with_terms(new_terms)
 
 
-class DriftArrays(NamedTuple):
-    """What one drift step carries from the last: the conscious weights and
-    coefficient, the shadow weights and coefficient, the shadow's ``fed`` and
-    ``phantom`` masks, ``shadow_amp`` = ``|shadow_w * sqrt(du)|`` (the shadow's
-    unit-basis amplitude moduli, taken once per step for the next step's
-    masses and for a phantom audit) and whether any site is phantom yet.
-    The shadow fields are None where ``start`` is given no shadow."""
+class DriftRows(NamedTuple):
+    """The rows one ``DriftKernel.advance`` moved through, stacked one per row:
+    the conscious weights and ``|coefficient|``, and, where the kernel feeds a
+    shadow, the shadow's weights, ``|coefficient|``, unit-basis amplitude
+    moduli ``|weights * sqrt(du)|`` and ``phantom`` masks (None without a
+    shadow). The last row is the kernel's current row, and its arrays are
+    the kernel's own."""
 
     cons_w: np.ndarray
-    cons_c: complex
+    cons_abs: np.ndarray
     shadow_w: Optional[np.ndarray] = None
-    shadow_c: Optional[complex] = None
-    fed: Optional[np.ndarray] = None
-    phantom: Optional[np.ndarray] = None
+    shadow_abs: Optional[np.ndarray] = None
     shadow_amp: Optional[np.ndarray] = None
-    has_phantom: bool = False
+    phantom: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
 class DriftKernel:
-    """One drift step on plain arrays, with the loop invariants computed once.
+    """Conscious-pulse drift, and the shadow it feeds, on real arrays, many rows per ``advance``.
 
-    ``start`` packs the arrays of a state into ``DriftArrays``, and ``step``
-    advances them by one step. Without shedding (``decay`` is None) the
-    shadow values pass through untouched. ``drift_pulse`` is one step of it
-    on a state; a drift run loops over it and builds states only at the end.
+    Built from a state, it holds the current row: the conscious weights and
+    coefficient and, with shedding (``shed_rate > 0``), the unique ready
+    pulse's weights, coefficient, unit-basis moduli and ``fed`` and
+    ``phantom`` masks; and the loop invariants ``u - v*dt`` and the
+    conscious square modulus kept per step (``decay``). Every profile the
+    package builds is real, so it steps real parts only and refuses a
+    profile with an imaginary part. ``advance(m)`` computes ``m`` rows as one
+    block, in three phases of the law of ``drift_pulse``: the conscious rows
+    alone (resample, then renormalise), since the conscious profile never
+    reads the shadow; the shares ``|F * sqrt(du)|**2`` of the whole block on
+    the 2-D array; then, row by row, the shadow recurrence (masking, shed,
+    ``below``, ``fed`` and ``phantom``, renormalisation of the shadow
+    mass). A caller keeps ``m`` within ``block_rows``, so that a block holds
+    at most DRIFT_BLOCK values. A still pulse (velocity 0) repeats its row.
+    ``state`` rebuilds a state from the current row.
     """
 
-    sources: np.ndarray  # u - v*dt: where each site's new amplitude is read from
-    sites: np.ndarray
-    du: float
-    sqrt_du: float
-    dt: float
-    decay: Optional[float]  # conscious square modulus kept per step; None without shedding
+    def __init__(self, state: SystemState, velocity: float, dt: float, shed_rate: float = 0.0):
+        cons_idx = [
+            n
+            for n, t in enumerate(state.terms)
+            if isinstance(t.brain, Pulse) and t.brain.kind is PulseKind.CONSCIOUS
+        ]
+        if len(cons_idx) != 1:
+            raise SimulationError(f"drift needs exactly one conscious pulse term, found {len(cons_idx)}")
+        self.origin, self.ci, self.si = state, cons_idx[0], None
+        cons = state.terms[self.ci]
+        if cons.brain.forming is not None:
+            raise SimulationError("drift requires a fully formed conscious pulse")
+        grid = state.grid
+        self.du, self.sqrt_du, self.dt, self.still = grid.spacing, math.sqrt(grid.spacing), dt, velocity == 0.0
+        self.sites = grid.sites
+        self.sources = self.sites - velocity * dt  # where each site's new amplitude is read from
+        self.cons_w, self.cons_c = _real_profile(cons.brain), cons.coefficient
+        self.decay = None  # conscious square modulus kept per step; None without shedding
+        self.has_phantom = False
+        if shed_rate > 0.0:
+            shadow_idx = [
+                n
+                for n, t in enumerate(state.terms)
+                if n != self.ci
+                and not t.phantom
+                and isinstance(t.brain, Pulse)
+                and t.brain.kind is PulseKind.READY
+            ]
+            if len(shadow_idx) != 1:
+                raise SimulationError(
+                    f"shadow drift needs exactly one ready-pulse term, found {len(shadow_idx)}"
+                )
+            self.si = shadow_idx[0]
+            pulse = state.terms[self.si].brain
+            self.decay = math.exp(-shed_rate * abs(velocity) * dt / self.du)
+            self.shadow_w, self.shadow_c = _real_profile(pulse), state.terms[self.si].coefficient
+            self.shadow_amp = np.abs(self.shadow_w * self.sqrt_du)
+            self.fed, self.phantom = (
+                m if m is not None else np.zeros(grid.n_points, dtype=bool)
+                for m in (pulse.fed_sites, pulse.phantom_sites)
+            )
+            self.has_phantom = bool(self.phantom.any())
 
-    @classmethod
-    def of(cls, grid: BrainGrid, velocity: float, dt: float, shed_rate: float = 0.0) -> "DriftKernel":
-        du = grid.spacing
-        u = grid.sites
-        decay = math.exp(-shed_rate * abs(velocity) * dt / du) if shed_rate > 0.0 else None
-        return cls(u - velocity * dt, u, du, math.sqrt(du), dt, decay)
+    @property
+    def block_rows(self) -> int:
+        """Rows of one block: at most DRIFT_BLOCK values, and at least one row."""
+        return max(1, DRIFT_BLOCK // len(self.sites))
 
-    def shadow_amp(self, shadow_w: np.ndarray) -> np.ndarray:
-        """``|shadow_w * sqrt(du)|``: the shadow's unit-basis amplitude moduli."""
-        return np.abs(shadow_w * self.sqrt_du)
+    def advance(self, m: int) -> DriftRows:
+        """Advance by ``m`` rows; return them stacked, and leave the kernel on the last."""
+        shape = (m, len(self.sites))
+        if self.still:  # nothing moves: every row is the current one
+            now = (self.cons_w, abs(self.cons_c))
+            if self.si is not None:
+                now += (self.shadow_w, abs(self.shadow_c), self.shadow_amp, self.phantom)
+            return DriftRows(*(np.broadcast_to(a, (m, *np.shape(a))) for a in now))
 
-    def start(self, cons_w, cons_c, shadow_w=None, shadow_c=None, fed=None, phantom=None) -> DriftArrays:
-        """The arrays of a state, ready for ``step``."""
-        if shadow_w is None:
-            return DriftArrays(cons_w, cons_c)
-        return DriftArrays(
-            cons_w, cons_c, shadow_w, shadow_c, fed, phantom, self.shadow_amp(shadow_w), bool(phantom.any())
-        )
-
-    def step(self, a: DriftArrays) -> DriftArrays:
-        """Advance the arrays by one step; see ``drift_pulse`` for the law."""
-        re = np.interp(self.sources, self.sites, a.cons_w.real, left=0.0, right=0.0)
-        im = np.interp(self.sources, self.sites, a.cons_w.imag, left=0.0, right=0.0)
-        shifted = re + 1j * im
-        nrm = math.sqrt(profile_norm_sq(shifted, self.du))
-        if nrm == 0.0:
-            raise SimulationError("conscious pulse drifted entirely off the grid")
-        shifted = shifted / nrm
+        # phase 1: the conscious rows, resampled by linear interpolation and renormalised
+        cons_w = np.empty(shape)
+        row = self.cons_w
+        for j in range(m):
+            row = np.interp(self.sources, self.sites, row, left=0.0, right=0.0)
+            nrm = math.sqrt(profile_norm_sq(row, self.du))
+            if nrm == 0.0:
+                raise SimulationError("conscious pulse drifted entirely off the grid")
+            # the complex quotient by a real norm multiplies by its reciprocal, and so does this
+            row = np.multiply(row, 1.0 / nrm, out=cons_w[j])
+        self.cons_w = row
         if self.decay is None:
-            return a._replace(cons_w=shifted)
+            return DriftRows(cons_w, np.full(m, abs(self.cons_c)))
 
-        shed = abs(a.cons_c) ** 2 * (1.0 - self.decay)
-        share = np.abs(shifted * self.sqrt_du) ** 2
-        if a.has_phantom:
-            np.putmask(share, a.phantom, 0.0)
-        share_total = float(np.add.reduce(share))
-        shadow_masses = np.abs(a.shadow_c) ** 2 * a.shadow_amp**2
-        cons_c = a.cons_c
-        below = np.True_  # every site's incoming current is below the floor while nothing is shed
-        if share_total > 0.0:
-            shed_share = shed * (share / share_total)
-            below = shed_share / self.dt < PHANTOM_CURRENT_FLOOR
-            shadow_masses = shadow_masses + shed_share
-            cons_c = cons_c * math.sqrt(self.decay)
+        # phase 2: the block's shares, then the shadow recurrence row by row
+        shares = np.abs(cons_w * self.sqrt_du) ** 2
+        shadow_w, shadow_amp, phantom = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+        cons_abs, shadow_abs = np.empty(m), np.empty(m)
+        keep = math.sqrt(self.decay)
+        cons_c, shadow_c, fed, has_phantom = self.cons_c, self.shadow_c, self.fed, self.has_phantom
+        w, amp, ph = self.shadow_w, self.shadow_amp, self.phantom
+        for j in range(m):
+            shed = abs(cons_c) ** 2 * (1.0 - self.decay)
+            share = shares[j]
+            if has_phantom:
+                np.putmask(share, ph, 0.0)
+            share_total = float(np.add.reduce(share))
+            masses = np.abs(shadow_c) ** 2 * amp**2
+            below = np.True_  # every site's incoming current is below the floor while nothing is shed
+            if share_total > 0.0:
+                shed_share = shed * (share / share_total)
+                below = shed_share / self.dt < PHANTOM_CURRENT_FLOOR
+                masses += shed_share
+                cons_c = cons_c * keep
+            newly = fed & ~ph & below
+            fed = fed | ~below
+            ph = np.logical_or(ph, newly, out=phantom[j])
+            has_phantom = has_phantom or bool(newly.any())
+            total_mass = float(np.add.reduce(masses))
+            if total_mass > 0.0:
+                w = np.divide(np.sqrt(masses / total_mass), self.sqrt_du, out=shadow_w[j])
+                shadow_c = math.sqrt(total_mass)
+                amp = np.abs(w * self.sqrt_du, out=shadow_amp[j])
+            else:  # nothing to renormalise: the shadow row repeats
+                shadow_w[j], shadow_amp[j] = w, amp
+                w, amp = shadow_w[j], shadow_amp[j]
+            cons_abs[j], shadow_abs[j] = abs(cons_c), abs(shadow_c)
+        self.cons_c, self.shadow_c, self.fed, self.has_phantom = cons_c, shadow_c, fed, has_phantom
+        self.shadow_w, self.shadow_amp, self.phantom = w, amp, ph
+        return DriftRows(cons_w, cons_abs, shadow_w, shadow_abs, shadow_amp, phantom)
 
-        newly_phantom = a.fed & ~a.phantom & below
-        fed = a.fed | ~below
-        phantom = a.phantom | newly_phantom
-        has_phantom = a.has_phantom or bool(newly_phantom.any())
+    def set_shadow(self, weights: np.ndarray) -> None:
+        """Overwrite the current row's shadow weights, and its moduli, in place: the last
+        row of the block ``advance`` returned changes with them."""
+        self.shadow_w[...] = weights
+        np.abs(self.shadow_w * self.sqrt_du, out=self.shadow_amp)
 
-        shadow_w, shadow_c, shadow_amp = a.shadow_w, a.shadow_c, a.shadow_amp
-        total_mass = float(np.add.reduce(shadow_masses))
-        if total_mass > 0.0:
-            amps = np.sqrt(shadow_masses / total_mass)
-            real_w = amps / self.sqrt_du
-            shadow_w = real_w.astype(np.complex128)
-            shadow_c = math.sqrt(total_mass)
-            shadow_amp = self.shadow_amp(real_w)  # the same values as from the complex weights
-        return DriftArrays(shifted, cons_c, shadow_w, shadow_c, fed, phantom, shadow_amp, has_phantom)
+    def state(self, time: float) -> SystemState:
+        """The kernel's state with its conscious term and, with shedding, its shadow term
+        rebuilt from the current row through the validating constructors, at ``time``."""
+        terms = list(self.origin.terms)
+        terms[self.ci] = _pulse_term(terms[self.ci], PulseKind.CONSCIOUS, self.cons_w, self.cons_c)
+        if self.si is not None:
+            terms[self.si] = _pulse_term(
+                terms[self.si], PulseKind.READY, self.shadow_w, self.shadow_c,
+                phantom_sites=self.phantom, fed_sites=self.fed,
+            )
+        return self.origin.with_terms(terms, time=time)
+
+
+def _real_profile(pulse: Pulse) -> np.ndarray:
+    """The real part of a pulse's weights; a profile with an imaginary part is refused."""
+    if np.any(pulse.weights.imag != 0.0):
+        raise SimulationError("drift steps real profiles only; this pulse has an imaginary part")
+    return pulse.weights.real
 
 
 def _pulse_term(term: Term, kind: PulseKind, weights, coefficient, **masks) -> Term:
@@ -630,18 +706,6 @@ def _pulse_term(term: Term, kind: PulseKind, weights, coefficient, **masks) -> T
     )
 
 
-def drifted_state(state: SystemState, ci: int, si: Optional[int], a: DriftArrays, time: float) -> SystemState:
-    """``state`` with its conscious term ``ci`` and shadow term ``si`` (None: untouched)
-    rebuilt from ``DriftKernel.step`` arrays, through the validating constructors."""
-    terms = list(state.terms)
-    terms[ci] = _pulse_term(terms[ci], PulseKind.CONSCIOUS, a.cons_w, a.cons_c)
-    if si is not None:
-        terms[si] = _pulse_term(
-            terms[si], PulseKind.READY, a.shadow_w, a.shadow_c, phantom_sites=a.phantom, fed_sites=a.fed
-        )
-    return state.with_terms(terms, time=time)
-
-
 def drift_pulse(
     state: SystemState,
     velocity: float,
@@ -659,51 +723,18 @@ def drift_pulse(
     A shadow site that has been fed and then receives less than 1e-12
     current for a full step is flagged phantom and frozen.
 
-    One ``DriftKernel`` step on the state's arrays. velocity = 0 returns the
-    state's terms unchanged at ``time + dt``.
+    One row of a ``DriftKernel`` built from the state, as
+    ``_advance_formation`` is one ``FormationKernel`` row; a profile with an
+    imaginary part is refused. velocity = 0 returns the state's terms
+    unchanged at ``time + dt``.
     """
     if not dt > 0:
         raise SimulationError(f"dt must be positive, got {dt}")
     if velocity == 0.0:
         return state.with_terms(state.terms, time=state.time + dt)
-
-    cons_idx = [
-        n
-        for n, t in enumerate(state.terms)
-        if isinstance(t.brain, Pulse) and t.brain.kind is PulseKind.CONSCIOUS
-    ]
-    if len(cons_idx) != 1:
-        raise SimulationError(f"drift needs exactly one conscious pulse term, found {len(cons_idx)}")
-    ci = cons_idx[0]
-    cons_term = state.terms[ci]
-    if cons_term.brain.forming is not None:
-        raise SimulationError("drift requires a fully formed conscious pulse")
-
-    si, shadow = None, ()
-    if shadow_ready and shed_rate > 0.0:
-        shadow_idx = [
-            n
-            for n, t in enumerate(state.terms)
-            if n != ci
-            and not t.phantom
-            and isinstance(t.brain, Pulse)
-            and t.brain.kind is PulseKind.READY
-        ]
-        if len(shadow_idx) != 1:
-            raise SimulationError(
-                f"shadow drift needs exactly one ready-pulse term, found {len(shadow_idx)}"
-            )
-        si = shadow_idx[0]
-        pulse = state.terms[si].brain
-        masks = [
-            m if m is not None else np.zeros(state.grid.n_points, dtype=bool)
-            for m in (pulse.fed_sites, pulse.phantom_sites)
-        ]
-        shadow = (pulse.weights, state.terms[si].coefficient, *masks)
-
-    kernel = DriftKernel.of(state.grid, velocity, dt, shed_rate if si is not None else 0.0)
-    arrays = kernel.step(kernel.start(cons_term.brain.weights, cons_term.coefficient, *shadow))
-    return drifted_state(state, ci, si, arrays, state.time + dt)
+    kernel = DriftKernel(state, velocity, dt, shed_rate if shadow_ready else 0.0)
+    kernel.advance(1)
+    return kernel.state(state.time + dt)
 
 
 def relative_intensity(pulse: Pulse, lo: int, hi: int) -> float:

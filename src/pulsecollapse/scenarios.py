@@ -37,13 +37,15 @@ as a config error.
 A residual budget below 1e-12 at the end of a completed transfer counts as
 certain (float telescoping can leave ~1e-15 behind).
 
-``run_pulse_drift`` has no hit. It loops ``dynamics.DriftKernel`` over plain
-arrays, audits conservation on them each step and phantom freeze from the
-first phantom site on, reading the shadow moduli the kernel carries, and
-builds the final state once. Its two negative controls are named hooks
-outside the kernel: ``_tamper_phantom`` moves one frozen amplitude, and
-``_ready_transfer_injection`` schedules a ready-to-ready ramp whose rule-4
-pairs refuse the run before its first drift step.
+``run_pulse_drift`` has no hit. It advances a ``dynamics.DriftKernel`` a
+block of rows at a time (at most ``dynamics.DRIFT_BLOCK`` values), takes the
+log's square moduli and the phantom-freeze audit on each block's stacked
+rows, checks conservation on the whole log, and builds the final state once.
+Its two negative controls are named hooks outside the kernel:
+``_tamper_phantom`` moves one frozen amplitude on the last row of a block
+that ends there, and ``_ready_transfer_injection`` schedules a
+ready-to-ready ramp whose rule-4 pairs refuse the run before its first
+drift row.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .dynamics import (
     DriftKernel,
     EnvelopeSchedule,
     FormationKernel,
-    drifted_state,
     form_pulse,
     rule4_pairs,
 )
@@ -93,7 +94,6 @@ from .state import (
     SystemState,
     Term,
     make_gaussian_pulse,
-    profile_norm_sq,
     total_square_modulus,
 )
 
@@ -1108,14 +1108,15 @@ def run_turn_off(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(summary)
 
 
-def run_disengage(cfg: ScenarioConfig) -> ScenarioResult:
+def run_disengage(cfg: ScenarioConfig, trial: int = 0, backbone: Optional[Backbone] = None) -> ScenarioResult:
     """Observation, then the observer looks away at t_dis.
 
     The conscious pulse factor is swapped for a disengaged one; coefficients
     must be untouched to the last bit and nothing stochastic may happen
-    afterwards.
+    afterwards. A trial with no hit swaps nothing: its ``swap_identical`` is
+    None.
     """
-    out = simulate_trajectory(cfg, trial=0)
+    out = simulate_trajectory(cfg, trial=trial, backbone=backbone)
     post = out.log
     currents_after, sq_after = _after_dis(post, cfg.data["disengage"]["t_dis"])
     constant = bool(np.all(sq_after == sq_after[0])) if len(sq_after) else True
@@ -1127,7 +1128,7 @@ def run_disengage(cfg: ScenarioConfig) -> ScenarioResult:
     summary = {
         "scenario": cfg.name,
         "hit": out.event is not None,
-        "swap_identical": out.extras.get("swap_identical", False),
+        "swap_identical": out.extras.get("swap_identical", False) if out.event is not None else None,
         "currents_zero_after_dis": bool(np.all(currents_after == 0.0)),
         "square_moduli_constant_after_dis": constant,
         "p2_from_eq7_coefficients": p2_eq7,
@@ -1175,27 +1176,23 @@ def _tamper_phantom(weights: np.ndarray, phantom: np.ndarray) -> np.ndarray:
 def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
     """Conscious pulse drifting across the grid, shedding into a ready shadow.
 
-    Runs ``DriftKernel`` on plain arrays and builds the state only at the
-    end. Trailing shadow sites freeze into phantoms; their amplitudes must
-    stay constant to the last bit modulo renormalization rounding (audited
-    at 1e-12). Two negative controls: ``tamper_phantom`` moves one frozen
-    amplitude at step 3/5 of the run (a ConfigError when the shadow has no
-    phantom site there to move), and ``intra_ready_transfer`` schedules an
-    injected ready-to-ready ramp whose rule-4 pairs refuse the run before
-    its first drift step.
+    Advances a ``DriftKernel`` a block of rows at a time and builds the
+    state only at the end. On each block's stacked rows it takes the log's
+    square moduli of both terms and audits the phantom freeze: trailing
+    shadow sites freeze into phantoms, and their amplitudes must stay
+    constant to the last bit modulo renormalization rounding (audited at
+    1e-12 against each site's amplitude at its first phantom row). Two
+    negative controls: ``tamper_phantom`` moves one frozen amplitude at step
+    3/5 of the run, where a block ends so that its own row's audit sees the
+    move (a ConfigError when the shadow has no phantom site there to move),
+    and ``intra_ready_transfer`` schedules an injected ready-to-ready ramp
+    whose rule-4 pairs refuse the run before its first drift step.
     """
     state, _ = build_initial(cfg)
     dr = cfg.data["drift"]
     dt = cfg.dt
     _check_steps(dr["duration"] / dt, ("drift.duration", "scenario.dt"))
     n_steps = int(round(dr["duration"] / dt))
-    velocity = dr["velocity"]
-    shedding = dr["shed_rate"] > 0.0
-    kernel = DriftKernel.of(state.grid, velocity, dt, dr["shed_rate"] if shedding else 0.0)
-    cons, shadow = state.terms
-    n_points = state.grid.n_points
-    none = np.zeros(n_points, dtype=bool)
-    arrays = kernel.start(cons.brain.weights, cons.coefficient, shadow.brain.weights, shadow.coefficient, none, none)
 
     if cfg.data["debug"]["intra_ready_transfer"]:
         pairs = rule4_pairs(*_ready_transfer_injection(state))
@@ -1203,46 +1200,29 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
             raise Rule4Violation(pairs)
     tamper_step = n_steps * 3 // 5 if cfg.data["debug"]["tamper_phantom"] else None
 
-    frozen = np.zeros(n_points)
-    has_frozen = np.zeros(n_points, dtype=bool)
+    kernel = DriftKernel(state, dr["velocity"], dt, dr["shed_rate"])
+    du = state.grid.spacing
+    # Term.square_modulus of each pulse, row by row; a shadow that sheds nothing keeps its own
+    sq = np.empty((n_steps + 1, 2))
+    sq[:] = [term.square_modulus() for term in state.terms]
+    frozen = np.zeros(state.grid.n_points)
+    has_frozen = np.zeros(state.grid.n_points, dtype=bool)
     max_phantom_drift = 0.0
-    du = kernel.du
-    t = state.time
-    total0 = total_square_modulus(state)
-    max_cons = 0.0
-
-    times = [t]
-    sq_rows = [[cons.square_modulus(), shadow.square_modulus()]]
-    cur_rows = [[0.0, 0.0]]
-    tot_rows = [total0]
-
-    for i in range(n_steps):
-        if velocity != 0.0:
-            arrays = kernel.step(arrays)
-        t = t + dt
-        if arrays.has_phantom:
-            if i == tamper_step:
-                w = _tamper_phantom(arrays.shadow_w, arrays.phantom)
-                arrays = arrays._replace(shadow_w=w, shadow_amp=kernel.shadow_amp(w))
-                tamper_step = None  # fired
-            amps = np.abs(arrays.shadow_c) * arrays.shadow_amp
-            # the sites frozen so far are the phantom sites of the step before, since that set only
-            # grows; fmax passes over a NaN difference, as max() over the sites one by one did
-            moved = np.abs(amps - frozen)
-            max_phantom_drift = np.fmax.reduce(moved, where=has_frozen, initial=max_phantom_drift)
-            np.copyto(frozen, amps, where=arrays.phantom & ~has_frozen)
-            has_frozen = arrays.phantom
-        # Term.square_modulus of each pulse, then total_square_modulus's sum
-        sq_now = [
-            abs(arrays.cons_c) ** 2 * profile_norm_sq(arrays.cons_w, du),
-            abs(arrays.shadow_c) ** 2 * profile_norm_sq(arrays.shadow_w, du),
-        ]
-        total = float(0 + sq_now[0] + sq_now[1])
-        max_cons = max(max_cons, abs(total - total0))
-        cur_rows.append([(b - a) / dt for a, b in zip(sq_rows[-1], sq_now)])
-        sq_rows.append(sq_now)
-        times.append(t)
-        tot_rows.append(total)
+    done = 0
+    while done < n_steps:
+        m = min(kernel.block_rows, n_steps - done)
+        if tamper_step is not None and done <= tamper_step:
+            m = min(m, tamper_step + 1 - done)  # a block ends on the tamper row
+        rows = kernel.advance(m)
+        if tamper_step == done + m - 1 and kernel.has_phantom:
+            kernel.set_shadow(_tamper_phantom(kernel.shadow_w, kernel.phantom))
+            tamper_step = None  # fired
+        block = slice(done + 1, done + m + 1)
+        sq[block, 0] = _square_moduli(rows.cons_abs, rows.cons_w, du)
+        if rows.shadow_w is not None:
+            sq[block, 1] = _square_moduli(rows.shadow_abs, rows.shadow_w, du)
+            max_phantom_drift = _freeze_audit(rows, frozen, has_frozen, max_phantom_drift)
+        done += m
 
     if tamper_step is not None:
         raise ConfigError(
@@ -1254,11 +1234,14 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
         raise InvariantBreach(
             "phantom-freeze", f"phantom amplitude moved by {max_phantom_drift:.3e}"
         )
+    total = sq[:, 0] + sq[:, 1]  # total_square_modulus's sum
+    max_cons = float(np.fmax.reduce(np.abs(total[1:] - total[0]), initial=0.0))
     if max_cons > _conservation_bound(state.s, n_steps * dt):
         raise InvariantBreach("norm-conservation", f"drift run leaked {max_cons:.3e}")
 
-    if velocity != 0.0 and n_steps > 0:
-        state = drifted_state(state, 0, 1 if shedding else None, arrays, t)
+    times = np.add.accumulate(np.concatenate(([state.time], np.full(n_steps, dt))))
+    if dr["velocity"] != 0.0 and n_steps > 0:
+        state = kernel.state(float(times[-1]))
     cons, shadow = state.terms
     phantom_sites = shadow.brain.phantom_sites
     summary = {
@@ -1273,14 +1256,38 @@ def run_pulse_drift(cfg: ScenarioConfig) -> ScenarioResult:
         "shadow_square_modulus": shadow.square_modulus(),
     }
     log = TrajectoryLog(
-        times=np.array(times),
-        sq_terms=np.array(sq_rows),
-        currents=np.array(cur_rows),
-        total_sq=np.array(tot_rows),
+        times=times,
+        sq_terms=sq,
+        currents=np.vstack((np.zeros((1, 2)), np.diff(sq, axis=0) / dt)),
+        total_sq=total,
         budget=np.zeros(len(times)),
         labels=tuple(term.apparatus_label for term in state.terms),
     )
     return ScenarioResult(summary, trajectory=log)
+
+
+def _square_moduli(abs_c: np.ndarray, weights: np.ndarray, du: float) -> np.ndarray:
+    """``Term.square_modulus`` of a pulse term on each row: ``float_power(|c|, 2.0)`` is
+    Python's ``abs(c) ** 2``, and each row's sum is ``profile_norm_sq``'s."""
+    return np.float_power(abs_c, 2.0) * (np.add.reduce(np.abs(weights) ** 2, axis=1) * du)
+
+
+def _freeze_audit(rows, frozen: np.ndarray, has_frozen: np.ndarray, worst: float) -> float:
+    """The largest move of a phantom amplitude, ``|shadow_c| * |shadow_w * sqrt(du)|``, over a
+    block of drift rows and ``worst`` so far. Each site is frozen at its amplitude on its first
+    phantom row (``frozen`` and ``has_frozen`` carry that across blocks) and audited on every
+    row after it; fmax passes over a NaN difference, as max() over the sites one by one did."""
+    phantom = rows.phantom
+    if not phantom[-1].any():  # the phantom set only grows
+        return worst
+    amps = rows.shadow_abs[:, None] * rows.shadow_amp
+    new = phantom[-1] & ~has_frozen
+    first = np.where(has_frozen, -1, len(amps))  # the row each site froze on; -1 before the block
+    first[new] = phantom[:, new].argmax(axis=0)
+    frozen[new] = amps[first[new], new]
+    has_frozen |= new
+    audited = np.arange(len(amps))[:, None] > first
+    return np.fmax.reduce(np.abs(amps - frozen), axis=None, where=audited, initial=worst)
 
 
 def run_fade_in(cfg: ScenarioConfig) -> ScenarioResult:
@@ -1335,6 +1342,19 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 Check = Tuple[str, bool, str]  # a verify row: invariant, passed, detail
 
 
+def _first_hit(cfg: ScenarioConfig, bb: Backbone) -> Optional[int]:
+    """The first of the config's trials whose first uniform hits, by simulate_trajectory's
+    own rule, or None. Trials are tested ZEROING_BLOCK at a time: a stream costs about
+    27 us to seed, and most configs hit on trial 0."""
+    for start in range(0, cfg.trials, ZEROING_BLOCK):
+        trials = range(start, min(start + ZEROING_BLOCK, cfg.trials))
+        u1 = np.array([RngStream(cfg.seed, trial).uniform() for trial in trials])
+        hits = np.flatnonzero(_hit_steps(bb, u1) < len(bb.step_mass))
+        if hits.size:
+            return start + int(hits[0])
+    return None
+
+
 def _batch_checks(cfg: ScenarioConfig) -> List[Check]:
     """Backbone audits, a repeated batch's digest, and the zeroing of the first trial
     that hits; with no hit in the batch's trials the zeroing row fails, unexamined."""
@@ -1350,17 +1370,10 @@ def _batch_checks(cfg: ScenarioConfig) -> List[Check]:
         ("determinism", batch.events_digest == batch2.events_digest,
          f"event digest {batch.events_digest[:16]}"),
     ]
-    # the first trial whose first uniform hits, by simulate_trajectory's own rule, tested a block
-    # of trials at a time: a stream costs about 27 us to seed, and most configs hit on trial 0
-    for start in range(0, small.trials, ZEROING_BLOCK):
-        trials = range(start, min(start + ZEROING_BLOCK, small.trials))
-        u1 = np.array([RngStream(small.seed, trial).uniform() for trial in trials])
-        hits = np.flatnonzero(_hit_steps(bb, u1) < len(bb.step_mass))
-        if hits.size:
-            break
-    else:
+    trial = _first_hit(small, bb)
+    if trial is None:
         return rows + [("reduction-zeroing", False, f"no hit in {small.trials} trials: zeroing not examined")]
-    out = simulate_trajectory(small, trial=start + int(hits[0]), backbone=bb)
+    out = simulate_trajectory(small, trial=trial, backbone=bb)
     post = sum(abs(c) ** 2 for c in out.event.post_coefficients.values())
     labels = set(out.event.post_coefficients)
     ok = bool(labels) and post <= out.event.pre_norm + 1e-12
@@ -1390,8 +1403,14 @@ def _drift_checks(cfg: ScenarioConfig) -> List[Check]:
 
 
 def _disengage_checks(cfg: ScenarioConfig) -> List[Check]:
-    """The freeze after t_dis; a failure names each of its conditions that failed."""
-    result = run_scenario(cfg)
+    """The freeze after t_dis on the first of 2,000 trials that hits; a failure names each of
+    its conditions that failed, and with no hit the row fails, unexamined."""
+    small = cfg.with_overrides(trials=2000)
+    bb = build_backbone(small)
+    trial = _first_hit(small, bb)
+    if trial is None:
+        return [("coefficient-freeze", False, f"no hit in {small.trials} trials: swap not examined")]
+    result = run_disengage(small, trial, bb)
     conditions = ("swap_identical", "currents_zero_after_dis", "square_moduli_constant_after_dis")
     failed = [key for key in conditions if not result.summary[key]]
     if not failed:

@@ -145,7 +145,7 @@ INJECTED_ERR = (
 
 def refuse_stepping(monkeypatch, *owners):
     """Make ``dynamics.step``, wherever a package module holds it, and each
-    ``owner.step`` given, fail the test when called."""
+    ``owner.advance`` given, fail the test when called."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("stepped")
@@ -154,7 +154,7 @@ def refuse_stepping(monkeypatch, *owners):
         if name.split(".")[0] == "pulsecollapse" and getattr(mod, "step", None) is dynamics.step:
             monkeypatch.setattr(mod, "step", refuse)
     for owner in owners:
-        monkeypatch.setattr(owner, "step", refuse)
+        monkeypatch.setattr(owner, "advance", refuse)
 
 
 class TestRun:
@@ -927,17 +927,46 @@ class TestVerify:
         path = write_yaml(tmp_path, "staged.yaml", mapping)
         assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "v")]) == 0
 
+    def test_disengage_examines_the_first_trial_that_hits(self, tmp_path):
+        """At fraction 0.3 trial 0 misses, so no swap runs on it; the freeze row examines the
+        first trial that hits (it failed swap_identical, exit 2)."""
+        mapping = load_yaml("disengage.yaml")
+        mapping["envelope"]["fraction"] = 0.3
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--config", write_yaml(tmp_path, "partial.yaml", mapping), "--out", str(out)]) == 0
+        assert scenarios.simulate_trajectory(config.parse_config(mapping), trial=0).event is None
+
+    def test_disengage_with_no_hit_fails_the_freeze_row(self, tmp_path, capsys):
+        """At fraction 1e-7 none of the 2,000 trials hits: the swap is not examined, and verify exits 2."""
+        mapping = load_yaml("disengage.yaml")
+        mapping["envelope"]["fraction"] = 1e-7
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--config", write_yaml(tmp_path, "none.yaml", mapping), "--out", str(out)]) == 2
+        assert [(c["invariant"], c["passed"], c["detail"]) for c in json.loads(read(out / "report.json"))["checks"]] == [
+            ("coefficient-freeze", False, "no hit in 2000 trials: swap not examined")
+        ]
+        assert "verify FAILED: coefficient-freeze" in capsys.readouterr().err
+
+    def test_disengage_run_with_no_hit_writes_a_null_swap(self, tmp_path):
+        """No hit, no swap: run's summary holds null for swap_identical, not false."""
+        mapping = load_yaml("disengage.yaml")
+        mapping["envelope"]["fraction"] = 1e-7
+        out = tmp_path / "r"
+        assert cli.main(["run", "--config", write_yaml(tmp_path, "none.yaml", mapping), "--out", str(out)]) == 0
+        summary = json.loads(read(out / "summary.json"))
+        assert summary["hit"] is False and summary["swap_identical"] is None
+
     def test_coefficient_freeze_failure_names_its_conditions(self, tmp_path, monkeypatch):
         """A failed freeze names each failed condition and the largest current past the event row."""
-        entry = scenarios.SCENARIOS["disengage"]
+        runner = scenarios.run_disengage
 
-        def moving(cfg):
-            result = entry.runner(cfg)
+        def moving(*args):
+            result = runner(*args)
             result.trajectory.currents[-1, 2] = -7e-16
             result.summary.update(swap_identical=False, currents_zero_after_dis=False)
             return result
 
-        monkeypatch.setitem(scenarios.SCENARIOS, "disengage", dataclasses.replace(entry, runner=moving))
+        monkeypatch.setattr(scenarios, "run_disengage", moving)
         out = tmp_path / "v"
         assert cli.main(["verify", "--config", cfg_path("disengage.yaml"), "--out", str(out)]) == 2
         assert [c["detail"] for c in json.loads(read(out / "report.json"))["checks"]] == [

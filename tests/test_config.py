@@ -272,12 +272,43 @@ class TestFileLoading:
         load = yaml.load
         monkeypatch.setattr(yaml, "load", lambda stream, Loader: used.append(Loader) or load(stream, Loader))
         fast = [load_config(p) for p in paths]
-        assert set(used) == {getattr(yaml, "CSafeLoader", yaml.SafeLoader)}
+        assert {loader.__base__ for loader in used} == {getattr(yaml, "CSafeLoader", yaml.SafeLoader)}
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
         slow = [load_config(p) for p in paths]
-        assert set(used[len(paths):]) == {yaml.SafeLoader}
+        assert {loader.__base__ for loader in used[len(paths):]} == {yaml.SafeLoader}
         for path, a, b in zip(paths, fast, slow):
             assert (a.name, a.data, a.raw) == (b.name, b.data, b.raw), path
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure_python"])
+    @pytest.mark.parametrize("text, value", [("1e-9", 1e-9), ("2E-1", 0.2), ("0.5e0", 0.5), ("-1e-2", -0.01)])
+    def test_yaml_1_2_float_is_a_float(self, tmp_path, monkeypatch, libyaml, text, value):
+        """A YAML 1.2 float is a float; PyYAML's YAML 1.1 resolver alone read 1e-9 as a string."""
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(minimal_interaction(envelope__t_start="T")).replace("T", text))
+        assert load_config(str(path)).data["envelope"]["t_start"] == value
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure_python"])
+    def test_bundled_configs_parse_as_under_yaml_1_1(self, monkeypatch, libyaml):
+        """The added resolver changes no bundled config: each gives the mapping, types included,
+        of the plain safe loader."""
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        config_dir = os.path.join(os.path.dirname(cli.__file__), "configs")
+        for name in cli.BUNDLED_CONFIGS:
+            with open(os.path.join(config_dir, name)) as fh:
+                text = fh.read()
+            plain = yaml.load(text, Loader=base)
+            assert repr(yaml.load(text, Loader=config._loader(base))) == repr(plain), name
+            assert load_config(os.path.join(config_dir, name)).raw == plain
+
+    def test_an_exponent_is_not_an_integer(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(minimal_interaction(grid__n_points="N")).replace("N", "1e3"))
+        with pytest.raises(ConfigError, match=r"^grid\.n_points must be an integer, got 1000\.0$"):
+            load_config(str(path))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.yaml"

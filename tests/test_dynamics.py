@@ -513,6 +513,27 @@ class TestDrift:
         assert out.terms == state.terms
         assert out.time == state.time + 0.01
 
+    @pytest.mark.parametrize("term", [0, 1], ids=["conscious", "shadow"])
+    def test_profile_with_an_imaginary_part_is_refused(self, term):
+        """The drift steps real parts only: every profile the package builds is real, and one
+        with a nonzero imaginary part is refused rather than stepped without it."""
+        state = self._drift_state()
+        terms = list(state.terms)
+        pulse = terms[term].brain
+        phased = dataclasses.replace(pulse, weights=pulse.weights * np.exp(0.3j))
+        terms[term] = dataclasses.replace(terms[term], brain=phased)
+        with pytest.raises(SimulationError, match="imaginary part"):
+            drift_pulse(state.with_terms(terms), velocity=1.0, dt=0.01, shadow_ready=True, shed_rate=0.05)
+
+    def test_nothing_to_shed_keeps_the_shadow(self):
+        """With both coefficients zero nothing is shed, and the shadow's row repeats."""
+        state = self._drift_state()
+        empty = state.with_terms([dataclasses.replace(t, coefficient=0j) for t in state.terms])
+        out = drift_pulse(empty, velocity=1.0, dt=0.01, shadow_ready=True, shed_rate=0.05)
+        shadow = out.terms[1]
+        assert np.array_equal(shadow.brain.weights, empty.terms[1].brain.weights)
+        assert shadow.coefficient == 0 and not shadow.brain.phantom_sites.any()
+
     def test_drift_moves_center(self):
         state = self._drift_state()
         for _ in range(100):

@@ -99,6 +99,16 @@ DRIFT_VARIANTS = {
                    "64d331b3c504af29c57e348775d1a71558d4b298e8fdddf463feefd40a2890c9"),
 }
 
+# sha256 of the final state of each DRIFT_VARIANTS run: the conscious and shadow weight bytes,
+# the shadow's phantom and fed masks ("none" where absent) and both coefficients as complex128
+DRIFT_FINAL_STATES = {
+    "bundled": "bc0915c48a23562351e563baffcf023ddf55e81bed8ecc28f35e25ab70c78232",
+    "still": "66af8242d4a4796ffb11ac92d5b4cf183ce7c2ae4e3dc0200303f854dc6cde6c",
+    "backwards": "83e488f95085b62c2c9906aaaf8f80d2b67b7315eb66dec9999498932d8eadc5",
+    "no_shedding": "6d57100a9a0382143e3648fa484de77d434dd6c5a52de058bcdaae23609c61c6",
+    "fast_short": "76bb2b31d30e82ec1c2e9f7f522ba0f3f4a019166c9d0f1180ee28623ad6c4ed",
+}
+
 # the injected pair's term indices follow the drift state's two terms
 INJECTED_PAIR = r"term 2 -> term 3 \(observer 'obs'\)"
 
@@ -310,6 +320,24 @@ def stepped_drift(cfg):
     log = {"times": times, "sq_terms": sq_rows, "currents": cur_rows,
            "total_sq": tot_rows, "budget": np.zeros(len(times))}
     return {k: np.array(v) for k, v in log.items()}, summary
+
+
+def drift_outputs(cfg, monkeypatch):
+    """A drift run's log digest (as DRIFT_VARIANTS pins it), summary and final-state digest
+    (as DRIFT_FINAL_STATES pins it); the final state is the one the kernel builds, or the
+    initial state of a still drift, which builds none."""
+    built = []
+    kernel_state = dynamics.DriftKernel.state
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics.DriftKernel, "state", lambda *a: built.append(kernel_state(*a)) or built[-1])
+        result = run_pulse_drift(cfg)
+    log = result.trajectory
+    data = b"".join(getattr(log, key).tobytes() for key in ("times", "sq_terms", "currents", "total_sq"))
+    (cons, shadow) = (built[-1] if built else build_initial(cfg)[0]).terms
+    parts = [cons.brain.weights.tobytes(), shadow.brain.weights.tobytes()]
+    parts += [b"none" if m is None else m.tobytes() for m in (shadow.brain.phantom_sites, shadow.brain.fed_sites)]
+    parts.append(np.array([complex(cons.coefficient), complex(shadow.coefficient)]).tobytes())
+    return hashlib.sha256(data).hexdigest(), result.summary, hashlib.sha256(b"".join(parts)).hexdigest()
 
 
 def count_schedule_calls(monkeypatch):
@@ -961,22 +989,71 @@ class TestDriftScenario:
         data = b"".join(log[key].tobytes() for key in ("times", "sq_terms", "currents", "total_sq"))
         assert hashlib.sha256(data).hexdigest() == digest
 
+    @pytest.mark.parametrize("name", DRIFT_VARIANTS)
+    def test_final_state_is_pinned(self, name, monkeypatch):
+        """The final weights, masks and coefficients, which the log pins do not cover."""
+        drift, digest = DRIFT_VARIANTS[name]
+        log, _, final = drift_outputs(drift_variant(**drift), monkeypatch)
+        assert (log, final) == (digest, DRIFT_FINAL_STATES[name])
+
+    @pytest.mark.parametrize("name", DRIFT_VARIANTS)
+    def test_outputs_do_not_depend_on_the_block_size(self, name, monkeypatch):
+        """Blocks of one row, of seven (a ragged last block) and of the default size give the
+        same log, summary and final state."""
+        cfg = drift_variant(**DRIFT_VARIANTS[name][0])
+        default = drift_outputs(cfg, monkeypatch)
+        n_points = cfg.data["grid"]["n_points"]
+        for rows in (1, 7):
+            monkeypatch.setattr(dynamics, "DRIFT_BLOCK", rows * n_points)
+            assert drift_outputs(cfg, monkeypatch) == default, rows
+
     def test_kernel_carries_what_it_would_recompute(self):
-        """Each step's carried shadow moduli and phantom flag equal what the arrays give
+        """Each row's shadow moduli and the carried phantom flag equal what the arrays give
         taken afresh, so the audit and the masking may read them instead."""
         cfg = bundled_config("pulse_drift.yaml")
         state, _ = build_initial(cfg)
         dr = cfg.data["drift"]
-        kernel = dynamics.DriftKernel.of(state.grid, dr["velocity"], cfg.dt, dr["shed_rate"])
-        cons, shadow = state.terms
-        none = np.zeros(state.grid.n_points, dtype=bool)
-        a = kernel.start(cons.brain.weights, cons.coefficient, shadow.brain.weights,
-                         shadow.coefficient, none, none)
-        for _ in range(int(round(dr["duration"] / cfg.dt))):
-            a = kernel.step(a)
-            assert np.array_equal(a.shadow_amp, np.abs(a.shadow_w * kernel.sqrt_du))
-            assert a.has_phantom == bool(a.phantom.any())
-        assert a.has_phantom
+        kernel = dynamics.DriftKernel(state, dr["velocity"], cfg.dt, dr["shed_rate"])
+        n_steps, done = int(round(dr["duration"] / cfg.dt)), 0
+        while done < n_steps:
+            rows = kernel.advance(min(kernel.block_rows, n_steps - done))
+            done += len(rows.cons_abs)
+            assert np.array_equal(rows.shadow_amp, np.abs(rows.shadow_w * kernel.sqrt_du))
+            assert kernel.has_phantom == bool(kernel.phantom.any())
+            assert np.array_equal(kernel.phantom, rows.phantom[-1])
+        assert kernel.has_phantom
+
+    @pytest.mark.parametrize("rows, edge", [(8, "first"), (7, "last"), (1200, "whole")])
+    def test_tamper_on_a_block_edge_breaks_the_freeze(self, rows, edge, monkeypatch):
+        """The tamper row, the 721st, falls on the first row of a block of 8 and the last row of
+        a block of 7; either way the run splits its block there, and that row's audit sees the move.
+        In blocks of 1,200 rows the first block ends there, and it also holds the first phantom row, the 9th."""
+        raw = {k: dict(v) for k, v in bundled_config("pulse_drift.yaml").raw.items()}
+        raw["debug"] = {"tamper_phantom": True}
+        cfg = parse_config(raw)
+        row = int(round(cfg.data["drift"]["duration"] / cfg.dt)) * 3 // 5 + 1
+        assert {"first": (row - 1) % rows == 0, "last": row % rows == 0, "whole": row < rows}[edge]
+        monkeypatch.setattr(dynamics, "DRIFT_BLOCK", rows * cfg.data["grid"]["n_points"])
+        with pytest.raises(InvariantBreach) as info:
+            run_pulse_drift(cfg)
+        assert str(info.value) == "invariant breached: phantom-freeze (phantom amplitude moved by 1.251e-07)"
+
+    def test_peak_memory_does_not_grow_with_the_duration(self):
+        """Four times the steps: the traced peak grows by the log's extra rows and no more than
+        1 MB besides, since the kernel holds one block of rows at a time."""
+        peaks = []
+        for duration in (12.0, 48.0):
+            cfg = drift_variant(velocity=0.25, duration=duration)
+            tracemalloc.start()
+            try:
+                result = run_pulse_drift(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        log = result.trajectory
+        row_bytes = sum(getattr(log, key).nbytes for key in ("times", "sq_terms", "currents", "total_sq", "budget"))
+        row_bytes //= len(log.times)
+        assert peaks[1] <= peaks[0] + (4800 - 1200) * row_bytes + (1 << 20)
 
     def test_tampered_phantom_breaks_the_freeze(self):
         raw = {k: dict(v) for k, v in bundled_config("pulse_drift.yaml").raw.items()}
@@ -987,10 +1064,10 @@ class TestDriftScenario:
         assert str(info.value) == "invariant breached: phantom-freeze (phantom amplitude moved by 1.251e-07)"
 
     def test_injected_ready_transfer_is_blocked_with_guard(self, monkeypatch):
-        """The injected schedule's rule-4 pairs refuse the run before any drift step."""
+        """The injected schedule's rule-4 pairs refuse the run before any drift row."""
         drifted = []
-        kernel_step = dynamics.DriftKernel.step
-        monkeypatch.setattr(dynamics.DriftKernel, "step", lambda *a: drifted.append(1) or kernel_step(*a))
+        kernel_advance = dynamics.DriftKernel.advance
+        monkeypatch.setattr(dynamics.DriftKernel, "advance", lambda *a: drifted.append(1) or kernel_advance(*a))
         cfg = bundled_config("pulse_drift.yaml")
         raw = {k: dict(v) for k, v in cfg.raw.items()}
         raw["debug"] = {"intra_ready_transfer": True}
