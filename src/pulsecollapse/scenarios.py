@@ -21,13 +21,14 @@ completed transfer is a certain hit and the total equals the closed form.
 Both drivers pick the site from the same flat (ready term, site) CDF,
 built by ``site_cdfs``. ``run_batch`` places many trials' hits at once,
 computes everything past the step for hits only and keeps aggregates,
-while one helper thread hashes each chunk's records; ``simulate_trajectory``
-places one, reads its log up to the hit from the backbone, applies the hit
-to a real state (reduce, form_pulse), and builds the later rows on arrays
-from carried values: by the rules of engagement nothing moves amplitude
-after the stochastic choice, so the rows stay fixed apart from formation and
-the turn-off or disengage event, which is applied to a state built for it
-and splits them into two segments. A staged pulse forms on the arrays of a
+reading the site tables the backbone builds once and keeps, while one
+helper thread hashes each chunk's records when there is more than one
+chunk; ``simulate_trajectory`` places one, reads its log up to the hit
+from the backbone, applies the hit to a real state (reduce, form_pulse),
+and builds the later rows on arrays from carried values: by the rules of
+engagement nothing moves amplitude after the stochastic choice, so the rows
+stay fixed apart from formation and the turn-off or disengage event, which
+is applied to a state built for it and splits them into two segments. A staged pulse forms on the arrays of a
 ``dynamics.FormationKernel``, which gives each row's norm, occupied count
 and stage a segment at a time; it becomes a ``Pulse`` only at the event and
 at the end. A formation target that fits at no site is refused with the
@@ -50,10 +51,12 @@ drift row.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -127,7 +130,6 @@ CHUNK_TRIALS = 1 << 16  # trials drawn and placed at a time by run_batch
 HIT_STEP_BUCKETS = 1 << 12  # buckets of the hit-step table: a power of two, so u * buckets is exact
 MAX_SITE_TABLE_BYTES = 1 << 30
 MAX_STEPS = 100_000  # steps one run may build or step
-ZEROING_BLOCK = 16  # trials whose first uniforms verify tests at once for its first hit
 
 
 @dataclass
@@ -332,7 +334,14 @@ class HitStepTable:
 class Backbone:
     """Closed-form pre-hit flow on a time grid that reaches t_end, shared by all trials
     of one config: a row per time, and a row per step in ``currents``, ``step_mass``
-    and ``cum_budget``."""
+    and ``cum_budget``.
+
+    Two tables that depend on the backbone alone are built on first use and kept, so
+    that every batch run on one backbone reads them: ``site_tables``, the flat site
+    CDFs and totals of ``site_cdfs`` (once for each value of the bias switch), and
+    ``scheduled_ready``, the schedule's ready coefficients that provenance compares
+    survivors with. ``dataclasses.replace`` gives a backbone that builds its own.
+    """
 
     state0: SystemState
     schedule: EnvelopeSchedule
@@ -349,10 +358,34 @@ class Backbone:
     dst_factor: np.ndarray
     audits: Dict[str, float]
     hit_table: HitStepTable
+    _site_tables: Dict[bool, Tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def complete(self) -> bool:
         return _complete(self.cum_budget)
+
+    def site_tables(self, biased: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """Each step's flat site CDF and total from ``site_cdfs``, built on first use for
+        each value of ``biased`` (the site-selection negative control) and kept."""
+        if biased not in self._site_tables:
+            self._site_tables[biased] = site_cdfs(
+                self.coeffs[:, list(self.ready_ids)], self.ready_amps, self.dt, self.state0.s, biased
+            )
+        return self._site_tables[biased]
+
+    @cached_property
+    def scheduled_ready(self) -> np.ndarray:
+        """The ready terms' coefficients at the end of each step, one row per step, from the
+        schedule's scalar ``predicted_coefficients`` and not from ``coeffs``: what the batch's
+        provenance check compares each survivor with."""
+        terms = self.state0.terms
+        rows = []
+        for t in self.times[1:].tolist():
+            pred = self.schedule.predicted_coefficients(t)
+            rows.append([pred.get(n, terms[n].coefficient) for n in self.ready_ids])
+        return np.array(rows, dtype=np.complex128)
 
 
 def _complete(cum_budget: np.ndarray) -> bool:
@@ -657,17 +690,18 @@ def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple
     after another from one PCG64 stream (the same doubles as one whole
     draw), and each chunk is folded into the aggregates and dropped, so
     memory does not grow with the trial count. ``events_digest`` is a
-    sha256 over per-trial records in trial order, whatever the chunk size;
-    one helper thread hashes a chunk's records while the next chunk is
-    placed. Survivor coefficients that differ from the schedule's
-    a_i(t_sc) * w_i(u_sc) by more than PROVENANCE_TOL breach "provenance".
-    A grid whose site tables (steps x ready terms x sites x 8 B)
-    would exceed MAX_SITE_TABLE_BYTES is refused before anything grid-sized
-    is made.
+    sha256 over per-trial records in trial order, whatever the chunk size.
+    In a batch of more than one chunk, one helper thread hashes a chunk's
+    records while the next chunk is placed; a batch of one chunk has no
+    next chunk to overlap with and hashes in line. The site tables and the
+    scheduled coefficients are the backbone's own (``Backbone.site_tables``
+    for the config's bias switch, ``Backbone.scheduled_ready``), built by
+    the first batch run on it. Survivor coefficients that differ from the
+    schedule's a_i(t_sc) * w_i(u_sc) by more than PROVENANCE_TOL breach
+    "provenance". A grid whose site tables (steps x ready terms x sites x
+    8 B) would exceed MAX_SITE_TABLE_BYTES is refused before anything
+    grid-sized is made.
     """
-    # imported on first use: it loads logging, about 3 ms of start-up that commands without a batch never need
-    from concurrent.futures import ThreadPoolExecutor
-
     n_points = cfg.data["grid"]["n_points"]
     n_steps = len(_backbone_times(cfg)) - 1
     table_bytes = 8 * n_steps * SCENARIOS[cfg.name].ready_terms * n_points
@@ -679,35 +713,39 @@ def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple
     bb = backbone if backbone is not None else build_backbone(cfg)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     ready = list(bb.ready_ids)
-    cdf, total = site_cdfs(
-        bb.coeffs[:, ready], bb.ready_amps, bb.dt, bb.state0.s, cfg.data["debug"]["bias_site_selection"]
-    )
+    cdf, total = bb.site_tables(cfg.data["debug"]["bias_site_selection"])
     ready_terms = [bb.state0.terms[n] for n in ready]
     spot_col = [t.apparatus_label for t in ready_terms].index(2)
     # complex site amplitudes, site-major, for the provenance recomputation
     site_amps = np.vstack([t.brain.site_amplitudes(bb.state0.grid) for t in ready_terms]).T.copy()
     n_steps, n_sites = len(bb.cum_budget), len(site_amps)
-    # ready coefficients at the end of each hit step seen, from the schedule
-    scheduled = np.zeros((n_steps, len(ready)), dtype=np.complex128)
-    known = np.zeros(n_steps, dtype=bool)
     digest = hashlib.sha256()
     site_counts = np.zeros(n_sites, dtype=np.int64)
     mult_counts = np.zeros(len(ready) + 1, dtype=np.int64)
     first_mass = np.zeros(n_sites)
     spot_count = 0
     prov_err = 0.0
-    # written and hashed by the helper thread alone; a chunk is handed over only
-    # once the one before it is hashed, so at most one waits and memory stays bounded
+    # written only while a chunk is hashed; with a helper thread, a chunk is handed over
+    # only once the one before it is hashed, so at most one waits and memory stays bounded
     row_buf = np.empty((min(CHUNK_TRIALS, cfg.trials), 8 + 2 * len(ready)))
+    hasher = None
+    if cfg.trials > CHUNK_TRIALS:
+        # imported only here: it loads logging, about 3 ms of start-up that a batch of one chunk never needs
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=1) as hasher:
+        hasher = ThreadPoolExecutor(max_workers=1)
+
+    with hasher if hasher is not None else contextlib.nullcontext():
         hashing = None
         for start in range(0, cfg.trials, CHUNK_TRIALS):
             draws = rng.random((min(CHUNK_TRIALS, cfg.trials - start), 3))
             p = place_hits(bb, cdf, total, draws)
-            if hashing is not None:
-                hashing.result()
-            hashing = hasher.submit(_digest_chunk, digest, row_buf, p, draws, n_steps)
+            if hasher is None:
+                _digest_chunk(digest, row_buf, p, draws, n_steps)
+            else:
+                if hashing is not None:
+                    hashing.result()
+                hashing = hasher.submit(_digest_chunk, digest, row_buf, p, draws, n_steps)
 
             surv, sites = p.survivor_coeffs, p.u_sc
             amp = np.abs(surv)
@@ -716,11 +754,7 @@ def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple
             if np.any(post > p.pre_norm + 1e-12):
                 raise InvariantBreach("reduction-bound", "post square modulus exceeded pre-hit norm")
             # provenance: a_i(t_sc) * w_i(u_sc) from the schedule, apart from the kernel's tables
-            for k in np.flatnonzero(np.bincount(p.step, minlength=n_steps).astype(bool) & ~known).tolist():
-                pred = bb.schedule.predicted_coefficients(float(bb.times[k + 1]))
-                scheduled[k] = [pred.get(n, term.coefficient) for n, term in zip(ready, ready_terms)]
-                known[k] = True
-            recomputed = np.take(scheduled, p.step, axis=0) * np.take(site_amps, sites, axis=0)
+            recomputed = np.take(bb.scheduled_ready, p.step, axis=0) * np.take(site_amps, sites, axis=0)
             prov_err = max(prov_err, float(np.max(np.abs(recomputed - surv), initial=0.0)))
             if prov_err > PROVENANCE_TOL:
                 raise InvariantBreach(
@@ -734,7 +768,8 @@ def run_batch(cfg: ScenarioConfig, backbone: Optional[Backbone] = None) -> Tuple
             new = np.flatnonzero((first < len(sites)) & (site_counts == 0))
             first_mass[new] = post[first[new]] / p.ramp_progress[first[new]] ** 2
             site_counts += np.bincount(sites, minlength=n_sites)
-        hashing.result()
+        if hashing is not None:
+            hashing.result()
 
     return bb, EventBatch(
         n_trials=cfg.trials,
@@ -1344,20 +1379,28 @@ Check = Tuple[str, bool, str]  # a verify row: invariant, passed, detail
 
 def _first_hit(cfg: ScenarioConfig, bb: Backbone) -> Optional[int]:
     """The first of the config's trials whose first uniform hits, by simulate_trajectory's
-    own rule, or None. Trials are tested ZEROING_BLOCK at a time: a stream costs about
-    27 us to seed, and most configs hit on trial 0."""
-    for start in range(0, cfg.trials, ZEROING_BLOCK):
-        trials = range(start, min(start + ZEROING_BLOCK, cfg.trials))
+    own rule, or None. Trials are tested in blocks of 1, 2, 4, ... trials: a stream costs
+    about 27 us to seed, most configs hit on trial 0, and a long search seeds fewer than
+    twice the streams it needs."""
+    start, size = 0, 1
+    while start < cfg.trials:
+        trials = range(start, min(start + size, cfg.trials))
         u1 = np.array([RngStream(cfg.seed, trial).uniform() for trial in trials])
         hits = np.flatnonzero(_hit_steps(bb, u1) < len(bb.step_mass))
         if hits.size:
             return start + int(hits[0])
+        start, size = start + size, 2 * size
     return None
 
 
 def _batch_checks(cfg: ScenarioConfig) -> List[Check]:
     """Backbone audits, a repeated batch's digest, and the zeroing of the first trial
-    that hits; with no hit in the batch's trials the zeroing row fails, unexamined."""
+    that hits; with no hit in the batch's trials the zeroing row fails, unexamined.
+
+    Both batches of 2,000 trials place and hash every trial; the repeat runs on the
+    first batch's backbone, so it reads the site tables and scheduled coefficients
+    that the first built, and each hashes its one chunk in line.
+    """
     small = cfg.with_overrides(trials=2000)
     bb, batch = run_batch(small)
     elapsed = bb.times[-1] - bb.times[0]

@@ -31,7 +31,7 @@ UNREACHED = {
     "dynamics._advance_formation": "one formation step of dynamics.step; reference for FormationKernel",
     "dynamics.EnvelopeSchedule.hold": "the post-hit schedule of the stepped reference trajectory",
     "dynamics.EnvelopeSchedule.active_in": "read only by dynamics.step",
-    "dynamics.drift_pulse": "stepped reference for DriftKernel; perfbench patches it",
+    "dynamics.drift_pulse": "one DriftKernel row on a whole state, for callers and tests; perfbench patches it",
     "dynamics.relative_intensity": "public API: the paper's intensity identity",
     "reduction.hit_probability": "rule-1 step probability of the stepped reference; perfbench patches it",
     "state.pulse_overlap": "public API",

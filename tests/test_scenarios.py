@@ -7,6 +7,7 @@ halted ramp, 1 for a complete one. Small-batch statistics here use wide
 suite at 10^5 trials.
 """
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
@@ -274,9 +275,87 @@ def stepped_trajectory(cfg, trial=0):
     return {k: np.array(v) for k, v in log.items()}, event, extras
 
 
+def _resample_shifted(weights, grid, shift):
+    u = grid.sites
+    re = np.interp(u - shift, u, weights.real, left=0.0, right=0.0)
+    im = np.interp(u - shift, u, weights.imag, left=0.0, right=0.0)
+    return re + 1j * im
+
+
+def frozen_drift(state, velocity, dt, shed_rate):
+    """One drift step by the per-state law that ``dynamics.drift_pulse`` held before the drift
+    ran on arrays (commit 9e2e872^, ``_resample_shifted`` and ``drift_pulse`` with a ready
+    shadow), kept here as the kernel's independent reference. The ``PulseFactor`` wrapper of
+    that time is gone: a term's brain is the ``Pulse`` itself. A still pulse (velocity 0)
+    keeps its terms at ``time + dt``; the old law returned the state as it was, time included.
+
+    The conscious profile is resampled by linear interpolation and renormalised; with
+    ``shed_rate > 0`` it sheds |a|^2 (1 - exp(-shed_rate |v| dt / du)) into the unique ready
+    term, spread over its non-phantom sites in proportion to the conscious profile, and a
+    fed shadow site whose incoming current falls below the floor turns phantom.
+    """
+    if velocity == 0.0:
+        return state.with_terms(state.terms, time=state.time + dt)
+    (ci,) = [n for n, t in enumerate(state.terms)
+             if isinstance(t.brain, Pulse) and t.brain.kind is PulseKind.CONSCIOUS]
+    cons_term = state.terms[ci]
+    grid = state.grid
+    du = grid.spacing
+    shifted = _resample_shifted(cons_term.brain.weights, grid, velocity * dt)
+    nrm = math.sqrt(float(np.sum(np.abs(shifted) ** 2)) * du)
+    shifted = shifted / nrm
+    new_cons_pulse = Pulse(kind=PulseKind.CONSCIOUS, grid=grid, weights=shifted,
+                           center_index=int(np.argmax(np.abs(shifted))),
+                           observer_id=cons_term.brain.observer_id)
+    new_terms = list(state.terms)
+    new_coeff = cons_term.coefficient
+
+    if shed_rate > 0.0:
+        (si,) = [n for n, t in enumerate(state.terms)
+                 if n != ci and not t.phantom and isinstance(t.brain, Pulse) and t.brain.kind is PulseKind.READY]
+        shadow_term = state.terms[si]
+        shadow_pulse = shadow_term.brain
+        none = np.zeros(grid.n_points, dtype=bool)
+        phantom = shadow_pulse.phantom_sites if shadow_pulse.phantom_sites is not None else none
+        fed = shadow_pulse.fed_sites if shadow_pulse.fed_sites is not None else none
+
+        decay = math.exp(-shed_rate * abs(velocity) * dt / du)
+        shed = abs(cons_term.coefficient) ** 2 * (1.0 - decay)
+        share = np.abs(new_cons_pulse.site_amplitudes()) ** 2
+        share[phantom] = 0.0
+        share_total = float(share.sum())
+        incoming = np.zeros(grid.n_points)
+        shadow_masses = np.abs(shadow_term.coefficient) ** 2 * np.abs(shadow_pulse.site_amplitudes()) ** 2
+        if share_total > 0.0:
+            share = share / share_total
+            incoming = shed * share / dt
+            shadow_masses = shadow_masses + shed * share
+            new_coeff = cons_term.coefficient * math.sqrt(decay)
+
+        newly_phantom = fed & ~phantom & (incoming < dynamics.PHANTOM_CURRENT_FLOOR)
+        fed = fed | (incoming >= dynamics.PHANTOM_CURRENT_FLOOR)
+        phantom = phantom | newly_phantom
+
+        total_mass = float(shadow_masses.sum())
+        if total_mass > 0.0:
+            amps = np.sqrt(shadow_masses / total_mass)
+            weights, center, shadow_coeff = amps / math.sqrt(du), int(np.argmax(amps)), math.sqrt(total_mass)
+        else:
+            weights, center = shadow_pulse.weights, shadow_pulse.center_index
+            shadow_coeff = shadow_term.coefficient
+        new_shadow_pulse = Pulse(kind=PulseKind.READY, grid=grid, weights=weights, center_index=center,
+                                 phantom_sites=phantom, fed_sites=fed, observer_id=shadow_pulse.observer_id)
+        new_terms[si] = Term(apparatus_label=shadow_term.apparatus_label, coefficient=shadow_coeff,
+                             brain=new_shadow_pulse, phantom=shadow_term.phantom)
+
+    new_terms[ci] = Term(apparatus_label=cons_term.apparatus_label, coefficient=new_coeff,
+                         brain=new_cons_pulse, phantom=cons_term.phantom)
+    return state.with_terms(new_terms, time=state.time + dt)
+
+
 def stepped_drift(cfg):
-    """A drift run as a loop over ``dynamics.drift_pulse`` on whole states, with the
-    phantom-freeze audit over a dict of frozen amplitudes: the log arrays and summary."""
+    """A drift run as a loop over ``frozen_drift`` on whole states, with the phantom-freeze
+    audit over a dict of frozen amplitudes: the log arrays, summary and final state."""
     state, _ = build_initial(cfg)
     dr, dt = cfg.data["drift"], cfg.dt
     n_steps = int(round(dr["duration"] / dt))
@@ -287,8 +366,7 @@ def stepped_drift(cfg):
     cur_rows = [[0.0] * len(state.terms)]
     tot_rows = [total0]
     for _ in range(n_steps):
-        state = dynamics.drift_pulse(state, velocity=dr["velocity"], dt=dt,
-                                     shadow_ready=True, shed_rate=dr["shed_rate"])
+        state = frozen_drift(state, dr["velocity"], dt, dr["shed_rate"])
         shadow = state.terms[1]
         pulse = shadow.brain
         if pulse.phantom_sites is not None:
@@ -319,7 +397,17 @@ def stepped_drift(cfg):
     }
     log = {"times": times, "sq_terms": sq_rows, "currents": cur_rows,
            "total_sq": tot_rows, "budget": np.zeros(len(times))}
-    return {k: np.array(v) for k, v in log.items()}, summary
+    return {k: np.array(v) for k, v in log.items()}, summary, state
+
+
+def final_state_digest(state):
+    """sha256 of a drift state's conscious and shadow weight bytes, the shadow's phantom and
+    fed masks ("none" where absent) and both coefficients as complex128."""
+    (cons, shadow) = state.terms
+    parts = [cons.brain.weights.tobytes(), shadow.brain.weights.tobytes()]
+    parts += [b"none" if m is None else m.tobytes() for m in (shadow.brain.phantom_sites, shadow.brain.fed_sites)]
+    parts.append(np.array([complex(cons.coefficient), complex(shadow.coefficient)]).tobytes())
+    return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
 def drift_outputs(cfg, monkeypatch):
@@ -333,11 +421,8 @@ def drift_outputs(cfg, monkeypatch):
         result = run_pulse_drift(cfg)
     log = result.trajectory
     data = b"".join(getattr(log, key).tobytes() for key in ("times", "sq_terms", "currents", "total_sq"))
-    (cons, shadow) = (built[-1] if built else build_initial(cfg)[0]).terms
-    parts = [cons.brain.weights.tobytes(), shadow.brain.weights.tobytes()]
-    parts += [b"none" if m is None else m.tobytes() for m in (shadow.brain.phantom_sites, shadow.brain.fed_sites)]
-    parts.append(np.array([complex(cons.coefficient), complex(shadow.coefficient)]).tobytes())
-    return hashlib.sha256(data).hexdigest(), result.summary, hashlib.sha256(b"".join(parts)).hexdigest()
+    final = final_state_digest(built[-1] if built else build_initial(cfg)[0])
+    return hashlib.sha256(data).hexdigest(), result.summary, final
 
 
 def count_schedule_calls(monkeypatch):
@@ -662,11 +747,17 @@ class TestBatch:
     @pytest.mark.parametrize("chunk", [13, 997])
     @pytest.mark.parametrize("name", BATCH_CONFIGS)
     def test_chunk_size_changes_no_output(self, name, chunk, monkeypatch):
-        """Chunks of 997 or 13 trials, with a ragged last one, give the default run's output."""
+        """Chunks of 997 or 13 trials, with a ragged last one, hashed on the helper thread,
+        give the output of the default run, which hashes its one chunk in line."""
         cfg = bundled_config(name).with_overrides(trials=5000)
+        pools = []
+        pool = concurrent.futures.ThreadPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or pool(**kw))
         whole = run_scenario(cfg)
+        assert pools == []
         monkeypatch.setattr(scenarios, "CHUNK_TRIALS", chunk)
         chunked = run_scenario(cfg)
+        assert pools == [{"max_workers": 1}]
         assert chunked.summary == whole.summary
 
     def test_peak_memory_does_not_grow_with_trials(self, observation_overlap_cfg):
@@ -783,6 +874,63 @@ class TestBatch:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("name", BATCH_CONFIGS)
+    def test_verify_batches_build_each_table_once(self, name, monkeypatch):
+        """verify's two batches share one backbone: its site tables and its scheduled
+        coefficients are built once (the trajectory builds its hit step's row alone), while
+        each batch still places and hashes every one of its trials."""
+        cfg = bundled_config(name)
+        n_times = len(scenarios._backbone_times(cfg))
+
+        def record(owner, attr):
+            calls, original = [], getattr(owner, attr)
+            monkeypatch.setattr(owner, attr, lambda *args: calls.append(args) or original(*args))
+            return calls
+
+        tables = record(scenarios, "site_cdfs")
+        placed = record(scenarios, "place_hits")
+        hashed = record(scenarios, "_digest_chunk")
+        scheduled = record(dynamics.EnvelopeSchedule, "predicted_coefficients")
+        rows = scenarios._batch_checks(cfg)
+        assert all(passed for _, passed, _ in rows), rows
+        assert sorted(len(coeffs) for coeffs, *_ in tables) == [2, n_times]
+        assert [len(args[3]) for args in placed] == [len(args[3]) for args in hashed] == [2000, 2000]
+        assert len(scheduled) == n_times - 1
+
+    def test_site_tables_are_kept_per_bias_switch(self, interaction_cfg):
+        """A batch given a backbone whose tables were built for the other value of the bias
+        switch builds and keeps its own and never reads the others: they are poisoned here,
+        and a read would breach site-selection. Each way round, it gives the digest of a run
+        that builds its own backbone."""
+        plain = small(interaction_cfg, trials=2000)
+        biased = small(config_variant("interaction.yaml", {"debug": {"bias_site_selection": True}}), trials=2000)
+        fresh = {False: run_batch(plain)[1].events_digest, True: run_batch(biased)[1].events_digest}
+        assert fresh[False] != fresh[True]
+        for first, flag in ((plain, True), (biased, False)):
+            bb = build_backbone(first)
+            run_batch(first, backbone=bb)
+            cdf, total = bb.site_tables(not flag)
+            bb._site_tables[not flag] = (np.full_like(cdf, np.nan), np.zeros_like(total))
+            other = biased if flag else plain
+            assert run_batch(other, backbone=bb)[1].events_digest == fresh[flag]
+            want_cdf, want_total = cdfs(bb, flag)
+            assert np.array_equal(bb.site_tables(flag)[0], want_cdf)
+            assert np.array_equal(bb.site_tables(flag)[1], want_total)
+
+    @pytest.mark.parametrize("trials", [2000, scenarios.CHUNK_TRIALS])
+    def test_one_chunk_starts_no_thread(self, observation_overlap_cfg, trials, monkeypatch):
+        """A batch of one chunk has no next chunk to overlap its hash with: it hashes in line
+        and makes no thread pool, and neither do verify's batches."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a batch of one chunk started a thread")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        _, batch = run_batch(small(observation_overlap_cfg, trials))
+        assert batch.n_trials == trials
+        assert all(passed for _, passed, _ in scenarios._batch_checks(observation_overlap_cfg))
+
+    @pytest.mark.parametrize("name", BATCH_CONFIGS)
     def test_batch_kernel_matches_trajectories(self, name):
         """Fed a trajectory's (u1, u2), the batch kernel hits the same step, term and site,
         with the same pre-hit norm and ramp progress; also on a backbone with no tail."""
@@ -805,6 +953,54 @@ class TestBatch:
                 for col, label in enumerate(labels):
                     want = ev.post_coefficients.get(label, 0j)
                     assert abs(hits.survivor_coeffs[0, col] - want) <= 1e-12
+
+
+def scanned_first_hit(cfg, bb):
+    """The first of the config's trials whose first uniform hits, tested one trial at a time
+    by ``searchsorted`` on the cumulative budget; a complete transfer always hits."""
+    for trial in range(cfg.trials):
+        u1 = RngStream(cfg.seed, trial).uniform()
+        if bb.complete or np.searchsorted(bb.cum_budget, u1, side="right") < len(bb.cum_budget):
+            return trial
+    return None
+
+
+class TestFirstHit:
+    # a 1% transfer puts each config's first hit past trial 16, at 30 to 187; 30 ends a block
+    # of the doubling search and 31 starts one
+    PAST_16 = {"envelope": {"fraction": 0.01}}
+
+    @pytest.mark.parametrize("variant", ["bundled", "fraction 0.01"])
+    @pytest.mark.parametrize("name", BATCH_CONFIGS + ("disengage.yaml",))
+    def test_doubling_search_equals_a_scan(self, name, variant, monkeypatch):
+        """The search in blocks of 1, 2, 4, ... trials finds the trial a one-at-a-time scan
+        finds; its trajectory hits, and the one before it misses. It seeds each trial's stream
+        once, in order, and fewer than twice as many as it examines."""
+        cfg = config_variant(name, self.PAST_16 if variant != "bundled" else {}).with_overrides(trials=2000)
+        bb = build_backbone(cfg)
+        seeded = []
+        monkeypatch.setattr(scenarios, "RngStream", lambda seed, trial: seeded.append(trial) or RngStream(seed, trial))
+        trial = scenarios._first_hit(cfg, bb)
+        monkeypatch.undo()
+        assert trial == scanned_first_hit(cfg, bb)
+        assert seeded == list(range(len(seeded))) and trial < len(seeded) <= 2 * trial + 1
+        if variant != "bundled":
+            assert trial > 16
+        assert simulate_trajectory(cfg, trial, bb).event is not None
+        if trial > 0:
+            assert simulate_trajectory(cfg, trial - 1, bb).event is None
+
+    def test_search_stops_at_the_last_trial(self):
+        """A hit past the config's trials is not found, even inside the block that holds it,
+        and with no hit in any trial the search returns None."""
+        cfg = config_variant("observation_single.yaml", self.PAST_16).with_overrides(trials=2000)
+        bb = build_backbone(cfg)
+        first = scenarios._first_hit(cfg, bb)
+        assert scenarios._first_hit(cfg.with_overrides(trials=first + 1), bb) == first
+        assert scenarios._first_hit(cfg.with_overrides(trials=first), bb) is None
+        none = config_variant("observation_single.yaml", {"envelope": {"fraction": 1e-7}}).with_overrides(trials=2000)
+        bb = build_backbone(none)
+        assert scenarios._first_hit(none, bb) is None and scanned_first_hit(none, bb) is None
 
 
 class TestTrajectory:
@@ -976,15 +1172,17 @@ class TestDriftScenario:
 
     @pytest.mark.parametrize("name", DRIFT_VARIANTS)
     def test_equals_stepped_drift(self, name):
-        """The array kernel gives the log and summary of drift_pulse stepped on whole
-        states, and the pinned log of the drift before it ran on arrays."""
+        """The array kernel gives the log and summary of the frozen per-state law stepped
+        on whole states, and the pinned log of the drift before it ran on arrays; the law's
+        final state is the pinned one the kernel builds."""
         drift, digest = DRIFT_VARIANTS[name]
         cfg = drift_variant(**drift)
         result = run_pulse_drift(cfg)
-        log, summary = stepped_drift(cfg)
+        log, summary, final = stepped_drift(cfg)
         for key, want in log.items():
             assert np.array_equal(getattr(result.trajectory, key), want), key
         assert result.summary == summary
+        assert final_state_digest(final) == DRIFT_FINAL_STATES[name]
         assert result.trajectory.labels == (1, 2)
         data = b"".join(log[key].tobytes() for key in ("times", "sq_terms", "currents", "total_sq"))
         assert hashlib.sha256(data).hexdigest() == digest
