@@ -12,6 +12,7 @@ named in the message (unknown keys are likelier typos than extensions).
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -292,9 +293,10 @@ def _check_values(name: str, data: Dict[str, Dict[str, Any]]) -> None:
 _YAML12_FLOAT = re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$")
 
 
+@functools.lru_cache(maxsize=None)
 def _loader(base: type) -> type:
-    """``base`` with YAML 1.2 floats resolved as floats. Its resolver is tried after the
-    YAML 1.1 ones, so an integer stays an integer."""
+    """``base`` with YAML 1.2 floats resolved as floats, built once per base. Its resolver is
+    tried after the YAML 1.1 ones, so an integer stays an integer."""
     loader = type("ConfigLoader", (base,), {})
     loader.add_implicit_resolver("tag:yaml.org,2002:float", _YAML12_FLOAT, list("-+.0123456789"))
     return loader

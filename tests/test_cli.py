@@ -309,7 +309,8 @@ class TestStrictJson:
 
 
 def test_package_and_cli_import_no_scipy():
-    """Cold start stays at the numpy + PyYAML floor: nothing imports scipy."""
+    """Cold start stays at the PyYAML floor for the package and adds only numpy for the CLI:
+    nothing imports scipy."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)

@@ -265,7 +265,7 @@ class TestFileLoading:
 
     def test_pure_python_loader_gives_the_same_configs(self, monkeypatch):
         """Where PyYAML lacks libyaml, yaml.SafeLoader parses every bundled config to the
-        same data and raw mapping as yaml.CSafeLoader."""
+        same data and raw mapping as yaml.CSafeLoader. Each base's loader class is built once."""
         config_dir = os.path.join(os.path.dirname(cli.__file__), "configs")
         paths = [os.path.join(config_dir, name) for name in cli.BUNDLED_CONFIGS]
         used = []
@@ -273,9 +273,11 @@ class TestFileLoading:
         monkeypatch.setattr(yaml, "load", lambda stream, Loader: used.append(Loader) or load(stream, Loader))
         fast = [load_config(p) for p in paths]
         assert {loader.__base__ for loader in used} == {getattr(yaml, "CSafeLoader", yaml.SafeLoader)}
+        assert len(set(used)) == 1
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
         slow = [load_config(p) for p in paths]
         assert {loader.__base__ for loader in used[len(paths):]} == {yaml.SafeLoader}
+        assert len(set(used[len(paths):])) == 1
         for path, a, b in zip(paths, fast, slow):
             assert (a.name, a.data, a.raw) == (b.name, b.data, b.raw), path
 

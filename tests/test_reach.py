@@ -18,13 +18,15 @@ import types
 import yaml
 
 import pulsecollapse
-from pulsecollapse import cli, scenarios
+from pulsecollapse import cli, config, scenarios
 
 CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
 PACKAGE_DIR = os.path.dirname(pulsecollapse.__file__)
 
 # qualified name -> why no command needs to run it
 UNREACHED = {
+    "__init__.__getattr__": "no command uses the library namespace: the CLI imports the modules directly",
+    "__init__.__dir__": "no command uses the library namespace: the CLI imports the modules directly",
     "dynamics.step": "stepped reference for the closed-form backbone and trajectories; perfbench patches it",
     "dynamics.CurrentReport.__post_init__": "built only by dynamics.step",
     "dynamics._site_masses": "per-site currents of dynamics.step; the site-table tests compare against it",
@@ -100,7 +102,9 @@ def test_every_package_function_is_reached_or_listed(tmp_path, capsys):
         entered.add((code.co_filename, code.co_firstlineno, code.co_name))
 
     commands = _commands(tmp_path)
-    cli._build_parser.cache_clear()  # built once per process: build it under the trace
+    # built once per process: build them under the trace
+    cli._build_parser.cache_clear()
+    config._loader.cache_clear()
     codes = []
     previous = sys.gettrace()
     sys.settrace(trace)

@@ -1187,6 +1187,21 @@ class TestDriftScenario:
         data = b"".join(log[key].tobytes() for key in ("times", "sq_terms", "currents", "total_sq"))
         assert hashlib.sha256(data).hexdigest() == digest
 
+    @pytest.mark.parametrize("name", ["bundled", "fast_short"])
+    def test_tamper_split_equals_stepped_drift(self, name, monkeypatch):
+        """With the tamper itself a no-op, a ``tamper_phantom`` run still ends a block on the
+        tamper row; it gives the log, summary and final state of the frozen per-state law on the
+        untampered config, so a wrong block split there is an oracle difference."""
+        drift = DRIFT_VARIANTS[name][0]
+        tampered = config_variant("pulse_drift.yaml", {"drift": drift, "debug": {"tamper_phantom": True}})
+        fired = []
+        monkeypatch.setattr(scenarios, "_tamper_phantom", lambda weights, phantom: fired.append(1) or weights)
+        log, summary, final = stepped_drift(drift_variant(**drift))
+        data = b"".join(log[key].tobytes() for key in ("times", "sq_terms", "currents", "total_sq"))
+        want = (hashlib.sha256(data).hexdigest(), summary, final_state_digest(final))
+        assert drift_outputs(tampered, monkeypatch) == want
+        assert fired == [1]
+
     @pytest.mark.parametrize("name", DRIFT_VARIANTS)
     def test_final_state_is_pinned(self, name, monkeypatch):
         """The final weights, masks and coefficients, which the log pins do not cover."""
